@@ -12,10 +12,8 @@
  * Works against any graph read path: a live store in a drain loop, the
  * engine's SnapshotView in pipeline mode (wire it up with @ref attach,
  * which registers the bundle via BasicRealTimeEngine::set_compute), or
- * the simulator's IndexedAdjacency (bench_incremental).  When the
- * store itself exposes the `dirty_view` capability (declared per
- * backend in tools/layers.toml) the bundle uses it; otherwise it wraps
- * the store directly.
+ * the simulator's IndexedAdjacency (bench_incremental); a delta round
+ * wraps whichever it is in a graph::DirtySetView.
  *
  * Telemetry (core.analytics.incr_*) is registered lazily on the first
  * epoch so non-incremental runs keep their registry snapshot — and
@@ -25,7 +23,6 @@
 #define IGS_ANALYTICS_INCREMENTAL_ANALYTICS_H
 
 #include <cstdint>
-#include <span>
 #include <utility>
 
 #include "analytics/compute_meter.h"
@@ -100,15 +97,7 @@ class IncrementalAnalytics {
         d.delta = warm_ && stream::use_delta(config_.policy, d.stats);
         const ComputeStats before = meter_.stats();
         if (d.delta) {
-            if constexpr (requires {
-                              g.dirty_view(
-                                  std::span<const VertexId>{});
-                          }) {
-                run_delta(g.dirty_view(work.affected), work);
-            } else {
-                run_delta(graph::DirtySetView<Graph>(g, work.affected),
-                          work);
-            }
+            run_delta(graph::DirtySetView<Graph>(g, work.affected), work);
         } else {
             run_full(g, work.epoch);
         }

@@ -10,11 +10,10 @@
  * insertion order via a side list of slot indices — which also makes the
  * appended-remainder order deterministic, unlike `std::unordered_map`.
  *
- * The IGS_HOT_PATH tag makes tools/igs_lint.py enforce the zero-allocation
- * guarantee: growth here is legal only at the audited pragma'd sites (first
- * encounter with a larger run), never per steady-state call.
+ * As a `file:*` hot-path root in tools/layers.toml, this file is held by
+ * tools/igs_analyze.py to its zero-allocation guarantee: growth is legal only
+ * at the audited pragma'd sites (first encounter with a larger run).
  */
-// IGS_HOT_PATH
 #ifndef IGS_COMMON_FLAT_TABLE_H
 #define IGS_COMMON_FLAT_TABLE_H
 

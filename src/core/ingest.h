@@ -8,7 +8,7 @@
  * differs (modeled cycles in sim::SimEngine, real threads and locks in
  * core::RealTimeEngine).  These templates capture the shared sequence so
  * the frontends can live in their proper layers (sim/ sits above core/ in
- * the module-layer DAG enforced by tools/igs_analyzer.py) without
+ * the module-layer DAG enforced by tools/igs_analyze.py) without
  * duplicating the decision logic.
  */
 #ifndef IGS_CORE_INGEST_H

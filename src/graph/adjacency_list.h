@@ -30,7 +30,6 @@
 #include "common/check.h"
 #include "common/spinlock.h"
 #include "common/types.h"
-#include "graph/dirty_set_view.h"
 #include "graph/vertex_id_map.h"
 
 namespace igs::graph {
@@ -185,18 +184,6 @@ class AdjacencyList {
 
     /** Structural equality against another graph (order-insensitive). */
     bool same_topology(const AdjacencyList& other) const;
-
-    /**
-     * Read path annotated with an epoch's dirty set (sorted, deduplicated
-     * — PendingWork::affected).  Declared backend capability
-     * (tools/layers.toml [semantic.backends.AdjacencyList]); incremental
-     * analytics seed their delta propagation from it (DESIGN.md §14).
-     */
-    DirtySetView<AdjacencyList>
-    dirty_view(std::span<const VertexId> dirty) const
-    {
-        return DirtySetView<AdjacencyList>(*this, dirty);
-    }
 
     /**
      * Re-place adjacency rows under a new logical->physical assignment

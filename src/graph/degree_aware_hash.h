@@ -25,7 +25,6 @@
 #include "common/spinlock.h"
 #include "common/types.h"
 #include "graph/adjacency_list.h"
-#include "graph/dirty_set_view.h"
 #include "graph/store_tuning.h"
 #include "graph/vertex_id_map.h"
 
@@ -280,17 +279,6 @@ class DegreeAwareHash {
     edges(VertexId v, Direction dir) const
     {
         return edge_set(v, dir).view();
-    }
-
-    /**
-     * Read path annotated with an epoch's dirty set — see
-     * AdjacencyList::dirty_view.  Declared backend capability
-     * (tools/layers.toml [semantic.backends.DegreeAwareHash]).
-     */
-    DirtySetView<DegreeAwareHash>
-    dirty_view(std::span<const VertexId> dirty) const
-    {
-        return DirtySetView<DegreeAwareHash>(*this, dirty);
     }
 
     /** Sorted copy of a vertex's edges (tests / snapshots). */

@@ -17,9 +17,7 @@
  * (per-epoch stack object by convention).  The dirty span must be sorted
  * and deduplicated — `is_dirty` binary-searches it — which is exactly
  * what PendingAccumulator::hand_off produces in PendingWork::affected.
- * Every backend exposes `dirty_view(span)` as a declared capability
- * (tools/layers.toml [semantic.backends.*]), so renaming it away from
- * the compute path fails CI instead of silently losing the fast path.
+ * Callers wrap any read path directly: `DirtySetView<G>(g, dirty)`.
  */
 #ifndef IGS_GRAPH_DIRTY_SET_VIEW_H
 #define IGS_GRAPH_DIRTY_SET_VIEW_H
@@ -38,10 +36,8 @@ namespace igs::graph {
  * Read path of `G` plus the epoch's sorted, deduplicated dirty set.
  *
  * `G` must satisfy graph::GraphReadPath — asserted in the constructor
- * rather than on the template head so backends can declare
- * `dirty_view()` members returning `DirtySetView<Self>` while `Self` is
- * still incomplete (the concept is then evaluated only at the call
- * site, where the backend type is complete).
+ * rather than on the template head, so the concept is evaluated only at
+ * the construction site, where `G` is complete.
  */
 template <typename G>
 class DirtySetView {

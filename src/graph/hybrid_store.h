@@ -48,7 +48,6 @@
 #include "common/spinlock.h"
 #include "common/types.h"
 #include "graph/adjacency_list.h" // ApplyResult
-#include "graph/dirty_set_view.h"
 #include "graph/graph_store.h"
 #include "graph/store_tuning.h"
 #include "graph/vertex_id_map.h"
@@ -247,17 +246,6 @@ class HybridStore {
     sorted_edges(VertexId v, Direction dir) const
     {
         return edge_set(v, dir).sorted();
-    }
-
-    /**
-     * Read path annotated with an epoch's dirty set — see
-     * AdjacencyList::dirty_view.  Declared backend capability
-     * (tools/layers.toml [semantic.backends.HybridStore]).
-     */
-    DirtySetView<HybridStore>
-    dirty_view(std::span<const VertexId> dirty) const
-    {
-        return DirtySetView<HybridStore>(*this, dirty);
     }
 
     /** See AdjacencyList::apply_renumber — move-permutes the per-vertex

@@ -28,7 +28,6 @@
 
 #include "common/check.h"
 #include "common/types.h"
-#include "graph/dirty_set_view.h"
 #include "graph/graph_store.h"
 
 namespace igs::graph {
@@ -76,18 +75,6 @@ class SnapshotView {
         const auto* arrays = dir == Direction::kOut ? out_ : in_;
         IGS_DCHECK(arrays != nullptr && v < arrays->size());
         return (*arrays)[v];
-    }
-
-    /**
-     * This snapshot's read path annotated with its epoch's dirty set —
-     * the compute callback receives PendingWork::affected, which is by
-     * construction the exact set publish() recopied for this epoch.
-     * Incremental analytics seed from it (DESIGN.md §14).
-     */
-    DirtySetView<SnapshotView>
-    dirty_view(std::span<const VertexId> dirty) const
-    {
-        return DirtySetView<SnapshotView>(*this, dirty);
     }
 
   private:

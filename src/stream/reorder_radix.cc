@@ -21,11 +21,10 @@
  * captures fit std::function's small-object buffer, and all arrays grow
  * monotonically inside the scratch arena, so steady-state reordering
  * performs zero heap allocations (asserted by tests/test_reorder_radix.cc).
- * The IGS_HOT_PATH tag below makes tools/igs_lint.py enforce that
- * discipline: any new allocation or container growth in this file must
- * carry an audited `igs-lint: allow(hot-path-alloc)` pragma.
+ * Every function here is a hot-path root in tools/layers.toml, so
+ * tools/igs_analyze.py enforces that discipline: any new allocation or
+ * container growth must carry an audited `igs-lint: allow(hot-path-alloc)`.
  */
-// IGS_HOT_PATH
 #include "stream/reorder.h"
 
 #include <algorithm>

@@ -62,7 +62,7 @@ TEST(DirtySetView, WrapsReadPathAndAnswersMembership)
     g.apply_insert(1, {3, 2.0f}, Direction::kOut);
     g.apply_insert(3, {1, 2.0f}, Direction::kIn);
     const std::vector<VertexId> dirty{1, 3};
-    const auto view = g.dirty_view(dirty);
+    const graph::DirtySetView<graph::AdjacencyList> view(g, dirty);
     EXPECT_EQ(view.num_vertices(), 8u);
     EXPECT_EQ(view.degree(1, Direction::kOut), 1u);
     EXPECT_EQ(view.edges(1, Direction::kOut).front().id, 3u);
@@ -78,11 +78,13 @@ TEST(DirtySetView, WrapsReadPathAndAnswersMembership)
 TEST(DirtySetView, EmptyDirtySetAndEmptyGraph)
 {
     graph::AdjacencyList g(4);
-    const auto view = g.dirty_view({});
+    const graph::DirtySetView<graph::AdjacencyList> view(g, {});
     EXPECT_EQ(view.dirty().size(), 0u);
     EXPECT_DOUBLE_EQ(view.dirty_fraction(), 0.0);
     graph::AdjacencyList empty(0);
-    EXPECT_DOUBLE_EQ(empty.dirty_view({}).dirty_fraction(), 0.0);
+    EXPECT_DOUBLE_EQ(
+        graph::DirtySetView<graph::AdjacencyList>(empty, {}).dirty_fraction(),
+        0.0);
 }
 
 // ------------------------------------------------------- input policy
@@ -411,7 +413,7 @@ TEST(IncrementalPageRank, DeltaFallsBackToFullWhenVertexSpaceChanges)
     big.apply_insert(0, {1, 1.0f}, Direction::kOut);
     big.apply_insert(1, {0, 1.0f}, Direction::kIn);
     const std::vector<VertexId> dirty{0, 1};
-    pr.delta_propagate(big.dirty_view(dirty));
+    pr.delta_propagate(graph::DirtySetView<graph::AdjacencyList>(big, dirty));
     analytics::incremental::PageRank fresh(tight_pagerank());
     fresh.full_rerun(big);
     EXPECT_EQ(pr.ranks(), fresh.ranks());

@@ -24,19 +24,15 @@
 #         Skipped (with a notice) when no clang++ is on PATH — the
 #         annotations compile as no-ops under gcc, so there is nothing
 #         to analyze.
-#   lint  tools/igs_lint.py repo rules + self-test (via ctest -R lint)
-#   analyze  tools/igs_analyzer.py whole-program rules (module-layer DAG,
-#         lock-order cycles, hot-path escapes) + fixture self-test
-#   semantic  tools/igs_semantic.py semantic passes (template-aware
-#         hot-path walk, snapshot lifetimes, backend contracts,
-#         telemetry-key registry) + fixture self-test
-#   dataflow  tools/igs_dataflow.py interprocedural passes (epoch role
-#         proofs, atomic publication pairing, hot-path value ranges)
-#         + fixture self-test — the static counterpart of the tsan legs
+#   analyze  tools/igs_analyze.py: every static rule (per-file lint,
+#         layer/include/lock-order graphs, hot-path escapes, snapshot
+#         lifetimes, backend contracts, telemetry keys, epoch role
+#         proofs, atomic publication pairing, hot-path value ranges —
+#         the static counterpart of the tsan legs) + fixture self-test
 #
 # Usage:  tools/check_matrix.sh [leg ...]
-#         (default: lint analyze semantic dataflow asan asan-hybrid tsan
-#          tsan-pipeline tsan-hybrid tsan-incremental tsan-renumber tsa)
+#         (default: analyze asan asan-hybrid tsan tsan-pipeline
+#          tsan-hybrid tsan-incremental tsan-renumber tsa)
 #
 # Each leg builds in its own tree (build-check-<leg>) with
 # CMAKE_BUILD_TYPE=Debug so IGS_DCHECK and the Spinlock owner assertions
@@ -48,8 +44,8 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 JOBS="${JOBS:-$(nproc 2>/dev/null || echo 4)}"
 LEGS=("$@")
 if [ ${#LEGS[@]} -eq 0 ]; then
-    LEGS=(lint analyze semantic dataflow asan asan-hybrid tsan
-          tsan-pipeline tsan-hybrid tsan-incremental tsan-renumber tsa)
+    LEGS=(analyze asan asan-hybrid tsan tsan-pipeline tsan-hybrid
+          tsan-incremental tsan-renumber tsa)
 fi
 
 # TSan suppressions: intentionally empty unless a race is provably benign
@@ -99,46 +95,15 @@ run_leg() {
 
 for leg in "${LEGS[@]}"; do
     case "$leg" in
-      lint)
-        echo "=== [lint] igs_lint + self-test ==="
-        if python3 "$ROOT/tools/igs_lint.py" --root "$ROOT" &&
-           python3 "$ROOT/tools/igs_lint.py" --root "$ROOT" --self-test; then
-            PASSED+=(lint)
-        else
-            FAILED+=(lint)
-        fi
-        ;;
       analyze)
-        echo "=== [analyze] igs_analyzer + self-test ==="
-        # No --compile-commands: the analyzer picks up build/ when it is
-        # configured and falls back to a directory walk otherwise.
-        if python3 "$ROOT/tools/igs_analyzer.py" --root "$ROOT" &&
-           python3 "$ROOT/tools/igs_analyzer.py" --root "$ROOT" --self-test; then
+        echo "=== [analyze] igs_analyze + self-test ==="
+        # No --compile-commands: the libclang frontend is optional and
+        # picks up build/ when it is configured.
+        if python3 "$ROOT/tools/igs_analyze.py" --root "$ROOT" &&
+           python3 "$ROOT/tools/igs_analyze.py" --root "$ROOT" --self-test; then
             PASSED+=(analyze)
         else
             FAILED+=(analyze)
-        fi
-        ;;
-      semantic)
-        echo "=== [semantic] igs_semantic + self-test ==="
-        # No --compile-commands: the libclang frontend is optional and
-        # auto-detected; the lexical frontend covers everything else.
-        if python3 "$ROOT/tools/igs_semantic.py" --root "$ROOT" &&
-           python3 "$ROOT/tools/igs_semantic.py" --root "$ROOT" --self-test; then
-            PASSED+=(semantic)
-        else
-            FAILED+=(semantic)
-        fi
-        ;;
-      dataflow)
-        echo "=== [dataflow] igs_dataflow + self-test ==="
-        # Static counterpart of the tsan-* legs: role/publication/
-        # interval proofs over the same pipeline edges.
-        if python3 "$ROOT/tools/igs_dataflow.py" --root "$ROOT" &&
-           python3 "$ROOT/tools/igs_dataflow.py" --root "$ROOT" --self-test; then
-            PASSED+=(dataflow)
-        else
-            FAILED+=(dataflow)
         fi
         ;;
       asan)
@@ -213,9 +178,9 @@ for leg in "${LEGS[@]}"; do
         fi
         ;;
       *)
-        echo "unknown leg: $leg (known: lint analyze semantic dataflow" \
-             "asan asan-hybrid tsan tsan-pipeline tsan-hybrid" \
-             "tsan-incremental tsan-renumber tsa)" >&2
+        echo "unknown leg: $leg (known: analyze asan asan-hybrid tsan" \
+             "tsan-pipeline tsan-hybrid tsan-incremental tsan-renumber" \
+             "tsa)" >&2
         FAILED+=("$leg (unknown)")
         ;;
     esac

@@ -1,7 +1,7 @@
-"""Interprocedural dataflow passes of igs_dataflow (DESIGN.md §15).
+"""Interprocedural dataflow passes of igs_analyze (DESIGN.md §10).
 
 Each pass module exposes `run(model, config, findings)` over the same
-parsed Model the semantic tier builds (tools/semantic/), where `config`
+parsed Model the other passes use (tools/semantic/), where `config`
 is the parsed tools/layers.toml document.  Three pass families:
 
   roles        epoch-ownership protocol verification: infer thread roles
@@ -15,7 +15,7 @@ is the parsed tools/layers.toml document.  Three pass families:
                files: provable uint32 overflow and unguarded wide->narrow
                casts.
 
-Abstract domains and soundness caveats are documented in DESIGN.md §15;
+Abstract domains and soundness caveats are documented in DESIGN.md §10;
 everything repo-specific the passes need lives under [dataflow.*] in
 tools/layers.toml.
 """

@@ -12,7 +12,7 @@ type is therefore a proof obligation:
                    expression, keyed by normalized spelling, valid
                    file-wide (the repo guards at entry points and casts
                    downstream — see the soundness caveats in DESIGN.md
-                   §15).  A local initialized from an integer literal
+                   §10).  A local initialized from an integer literal
                    gets a constant interval.
   obligations      `static_cast<N>(e)` where N is uint8/16/32_t or a
                    [dataflow.intervals].narrow_aliases alias, and e is
@@ -252,7 +252,7 @@ def _check_cast(fn, operand, target, target_max, line, facts, locals_,
             f"std::numeric_limits<std::{target}>::max()) or audit with "
             f"an allow() pragma in '{fn.qual_name}'")
     # Anything else (arithmetic, pointer differences) is outside the
-    # abstract domain: skipped, see DESIGN.md §15.
+    # abstract domain: skipped, see DESIGN.md §10.
 
 
 _MUTATORS = frozenset({"=", "+=", "-=", "*=", "/=", "++", "--"})

@@ -11,7 +11,7 @@ checks the *protocol* statically:
                  Atomics reaching a function through parameters or
                  computed expressions are skipped — cross-function
                  aliasing is out of scope (documented caveat, DESIGN.md
-                 §15).
+                 §10).
   op model       member calls load/store/exchange/fetch_*/
                  compare_exchange_*/test_and_set/test/clear, with the
                  memory order parsed from the argument list (no explicit

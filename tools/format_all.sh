@@ -38,9 +38,7 @@ fi
 cd "$root"
 files=$(find src bench tests examples \
             \( -name '*.h' -o -name '*.cc' -o -name '*.cpp' \) \
-            -not -path '*lint_fixtures*' \
-            -not -path '*analyzer_fixtures*' \
-            -not -path '*semantic_fixtures*' 2>/dev/null)
+            -not -path '*analysis_fixtures*' 2>/dev/null)
 n=0
 for f in $files; do
     "$cf" -i "$f"

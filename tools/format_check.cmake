@@ -24,7 +24,7 @@ file(GLOB_RECURSE files RELATIVE ${SOURCE_DIR}
 set(drifted 0)
 set(checked 0)
 foreach(f ${files})
-    if(f MATCHES "lint_fixtures|analyzer_fixtures|semantic_fixtures|/build")
+    if(f MATCHES "analysis_fixtures|/build")
         continue()
     endif()
     math(EXPR checked "${checked}+1")

@@ -1,8 +1,6 @@
-"""igs semantic analyzer package (tools/igs_semantic.py driver).
+"""Parser, Model and passes behind tools/igs_analyze.py.
 
-AST-grade whole-program analysis for the igstream repository, driven by
-compile_commands.json.  Two frontends produce one intermediate model
-(tools/semantic/model.py):
+Two frontends produce one intermediate model (tools/semantic/model.py):
 
   - frontend_clang  libclang (clang.cindex) when importable — parses the
                     real translation units and cross-validates the model;
@@ -11,8 +9,11 @@ compile_commands.json.  Two frontends produce one intermediate model
                     template classes, member/param/local types, constexpr
                     requires-probes, explicit instantiations).
 
-Four passes run over the model (tools/semantic/passes/):
+Passes over the model (tools/semantic/passes/):
 
+  lint            per-file token rules (mutexes, checks, atomics, guards,
+                  includes);
+  graphs          module layering, include cycles, lock-order cycles;
   hot_path        template-aware hot-path escape analysis with per-backend
                   attribution through instantiated specializations;
   lifetime        SnapshotView escape / invalidation / compute-stage
@@ -22,8 +23,7 @@ Four passes run over the model (tools/semantic/passes/):
   telemetry_keys  telemetry counter-name registry, naming-scheme
                   conformance, and golden-JSON key cross-check.
 
-Findings share igs_lint's allow() pragma mechanism, an audited baseline
-file with stale-entry detection (tools/semantic/baseline.py), and the
-SARIF 2.1.0 emitter shared with tools/igs_analyzer.py
-(tools/semantic/sarif.py).
+The dataflow passes (tools/dataflow/) run over the same model.  The
+driver owns the allow() pragmas, the audited baseline
+(tools/semantic/baseline.py) and the SARIF log (tools/semantic/sarif.py).
 """

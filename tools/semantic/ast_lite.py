@@ -6,7 +6,7 @@ with member functions and typed fields, free and out-of-line member
 function definitions with typed parameter lists and body token ranges,
 explicit template instantiations, and using-aliases.
 
-It is deliberately tuned to this repository's idiom (see DESIGN.md §13)
+It is deliberately tuned to this repository's idiom (see DESIGN.md §10)
 and over-approximates where C++ is ambiguous: a spurious function or
 field only widens the call graph, it cannot hide real code from the
 escape analysis.  Bodies are stored as token ranges and analyzed lazily
@@ -607,7 +607,7 @@ def iter_calls(toks, lo, hi):
                         toks[p].text in (".", "->"):
                     if p - 1 >= lo and toks[p - 1].kind == "id":
                         receiver = toks[p - 1].text
-                    elif p - 1 >= lo and toks[p - 1].text == ")":
+                    elif p - 1 >= lo and toks[p - 1].text in (")", "]"):
                         receiver = "<expr>"
                 elif p >= lo and toks[p].kind == "punct" and \
                         toks[p].text == "::":

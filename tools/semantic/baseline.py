@@ -1,4 +1,4 @@
-"""Shared audited baseline for the analysis tiers.
+"""Audited baseline of tools/igs_analyze.py.
 
 A baseline entry records a finding that was reviewed and accepted, with a
 justification — the SARIF output keeps the finding (greyed out as an
@@ -8,24 +8,12 @@ messages are built from stable entity names, so a match survives
 unrelated churn while any change to the finding itself (renamed symbol,
 different backend attribution) un-baselines it.
 
-All three tools that support baselining (igs_analyzer, igs_semantic,
-igs_dataflow) share one file, tools/analysis_baseline.json:
+The file, tools/analysis_baseline.json, holds one list:
 
-    {
-      "tools": {
-        "igs_semantic": {"findings": [{"rule": ..., "path": ...,
-                                       "message": ..., "justification":
-                                       ...}, ...]},
-        ...
-      }
-    }
+    {"_comment": ..., "findings": [{"rule": ..., "path": ...,
+                                    "message": ..., "justification": ...}]}
 
-`load(path, tool=...)` reads one tool's section; the legacy single-tool
-layout (top-level "findings") is still accepted so older baseline files
-keep working.  `write_template(path, findings, tool=...)` rewrites only
-that tool's section and preserves the others byte-for-byte.
-
-Stale entries — baselined findings the owning tool no longer produces —
+Stale entries — baselined findings the analyzer no longer produces —
 become `stale-baseline` findings, mirroring the stale-suppression rule:
 a suppression that outlives its finding is a latent hole in the gate.
 """
@@ -34,36 +22,19 @@ import json
 
 from .model import Finding
 
-_COMMENT = ("Audited findings accepted by review, one section per "
-            "analysis tool. Every entry needs a justification; stale "
-            "entries fail CI.")
+_COMMENT = ("Audited findings accepted by review. Every entry needs a "
+            "justification; stale entries fail CI.")
 
 
-def _read_doc(path):
+def load(path):
+    """[(rule, path, message, justification)] from a baseline file."""
     try:
         with open(path, encoding="utf-8") as f:
-            return json.load(f)
+            doc = json.load(f)
     except (FileNotFoundError, json.JSONDecodeError):
-        return None
-
-
-def load(path, tool=None):
-    """[(rule, path, message, justification)] from a baseline file.
-    With `tool`, reads that tool's section of the shared layout; falls
-    back to the legacy top-level "findings" list either way."""
-    doc = _read_doc(path)
-    if doc is None:
         return []
-    raw = None
-    if tool is not None and isinstance(doc.get("tools"), dict):
-        raw = doc["tools"].get(tool, {}).get("findings")
-    if raw is None:
-        raw = doc.get("findings", [])
-    entries = []
-    for e in raw:
-        entries.append((e["rule"], e["path"], e["message"],
-                        e.get("justification", "")))
-    return entries
+    return [(e["rule"], e["path"], e["message"], e.get("justification", ""))
+            for e in doc.get("findings", [])]
 
 
 def apply(findings, entries, baseline_rel):
@@ -89,10 +60,9 @@ def apply(findings, entries, baseline_rel):
     return stale
 
 
-def write_template(path, findings, tool=None):
+def write_template(path, findings):
     """Serialize current unbaselined findings as a baseline skeleton
-    (used by --update-baseline; justifications must be filled by hand).
-    With `tool`, rewrites only that tool's section of the shared file."""
+    (used by --update-baseline; justifications must be filled by hand)."""
     entries = [
         {"rule": f.rule, "path": f.path, "message": f.message,
          "justification": "TODO: justify or fix"}
@@ -100,14 +70,6 @@ def write_template(path, findings, tool=None):
         if not f.suppressed and not f.baselined
         and f.rule != "stale-baseline"
     ]
-    if tool is None:
-        doc = {"_comment": _COMMENT, "findings": entries}
-    else:
-        doc = _read_doc(path) or {}
-        doc.setdefault("_comment", _COMMENT)
-        doc.pop("findings", None)
-        doc.setdefault("tools", {})
-        doc["tools"][tool] = {"findings": entries}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump({"_comment": _COMMENT, "findings": entries}, fh, indent=2)
         fh.write("\n")

@@ -37,7 +37,7 @@ def _is_id(c):
 
 def tokenize(text):
     """Return (tokens, comments) where comments maps line -> comment text
-    accumulated on that line (igs_lint pragma compatible)."""
+    accumulated on that line (where allow() pragmas live)."""
     tokens = []
     comments = {}
     i, n, line = 0, len(text), 1

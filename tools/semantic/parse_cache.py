@@ -1,8 +1,8 @@
 """Shared C++ parsing front end: parallel parse + on-disk fragment cache.
 
-igs_semantic and igs_dataflow both consume the same whole-program Model;
-building it is dominated by tokenizing/parsing ~100 translation units.
-This module owns that step:
+Every pass of igs_analyze consumes one whole-program Model; building it
+is dominated by tokenizing/parsing ~130 source files.  This module owns
+that step:
 
   parallelism   files are parsed into independent single-file fragment
                 Models by a multiprocessing fork pool (IGS_PARSE_JOBS
@@ -10,11 +10,11 @@ This module owns that step:
                 pool startup would dominate).
   caching       each fragment is pickled under <root>/build/
                 .igs-parse-cache keyed by sha256(parser sources ‖ path ‖
-                file contents), so an unchanged file never re-parses and
-                the cache survives across the tools sharing it (set
-                IGS_PARSE_CACHE=off to disable, or to a directory to
-                relocate).  The parser-version component invalidates the
-                whole cache whenever cpp_lexer/ast_lite/model change.
+                file contents), so an unchanged file never re-parses
+                across runs (set IGS_PARSE_CACHE=off to disable, or to a
+                directory to relocate).  The parser-version component
+                invalidates the whole cache whenever cpp_lexer/ast_lite/
+                model change.
   merging       fragments merge in headers-first order; a synthetic
                 ClassInfo a .cc fragment invented for an out-of-line
                 member definition is grafted onto the real class parsed
@@ -34,8 +34,7 @@ from . import ast_lite
 from .model import Model
 
 SOURCE_EXTS = (".h", ".cc", ".cpp")
-EXCLUDED_PARTS = ("lint_fixtures", "analyzer_fixtures",
-                  "semantic_fixtures", "dataflow_fixtures", "build")
+EXCLUDED_PARTS = ("analysis_fixtures", "build")
 _PARALLEL_MIN_FILES = 24
 
 

@@ -21,7 +21,7 @@ failure:
                           the aftermath of a rename).
 
 It also emits the backend-capability matrix (--matrix) that DESIGN.md
-§13 documents: one row per backend, one column per probed hook.
+§10 documents: one row per backend, one column per probed hook.
 """
 
 from . import add

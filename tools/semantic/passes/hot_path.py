@@ -1,18 +1,20 @@
 """Template-aware hot-path escape analysis with per-backend attribution.
 
 Walks from the [hot_paths] roots in layers.toml through the call graph,
-but — unlike the line-regex walk in igs_analyzer — resolves member calls
-through the *types* of their receivers.  When a receiver's type is a
-template parameter that stands for a graph-store backend (engine.cc's
-explicit instantiations, or the configured backend list for uninstantiated
-kernels), the walk forks once per backend, `if constexpr (requires ...)`
-branches are pruned against that backend's real member surface, and every
-finding names the backend whose instantiation reaches it.
+resolving member calls through the *types* of their receivers (a receiver
+the walk cannot type reaches every src/ member of that name; a qualified
+call, its class's members or else the src/ functions of that name).  When
+a receiver's type is a template parameter that stands for a graph-store
+backend (engine.cc's explicit instantiations, or the configured backend
+list for uninstantiated kernels), the walk forks once per backend,
+`if constexpr (requires ...)` branches are pruned against that backend's
+real member surface, and every finding names the backend whose
+instantiation reaches it.
 
-Rules (shared IDs with igs_lint/igs_analyzer so existing audited pragmas
-suppress all three tools): hot-path-alloc, hot-path-block, hot-path-throw,
-plus hot-path-virtual (virtual dispatch on the hot path — this repo keeps
-its kernels devirtualized by construction, so any hit is a regression).
+Rules: hot-path-alloc, hot-path-block, hot-path-throw, plus
+hot-path-virtual (virtual dispatch on the hot path — this repo keeps its
+kernels devirtualized by construction, so any hit is a regression).
+A `path:*` root makes every function defined in that file a root.
 """
 
 import fnmatch
@@ -60,7 +62,6 @@ def run(model, config, findings):
                 inst_bindings.setdefault(ci.name, set()).add(arg_ci.name)
 
     seen = set()
-    reached = set()     # (function key, backend) pairs, exported for tags
     work = []
     for fn in roots:
         for binding in _seed_bindings(fn, graph_params, backends,
@@ -72,7 +73,6 @@ def run(model, config, findings):
         if key in seen or fn.body is None:
             continue
         seen.add(key)
-        reached.add((fn.key, backend))
         if not fn.file.rel.startswith("src/"):
             continue
         dead = _dead_ranges(fn, binding, backends)
@@ -84,8 +84,6 @@ def run(model, config, findings):
                 continue
             work.append((callee, callee_binding,
                          backend or _label(callee_binding)))
-    model.hot_reached = reached
-    return reached
 
 
 def _root_functions(model, roots):
@@ -229,27 +227,27 @@ def _scan_body(model, fn, binding, backend, dead, findings):
 
 
 def _resolve(model, fn, binding, call):
-    """[(FunctionInfo, new_binding)] candidate targets of a call."""
-    out = []
+    """[(FunctionInfo, new_binding)] candidate targets of a call.  A
+    receiver whose type stays unresolved (`auto& set = ...`, `q[i].`)
+    reaches every src/ member of that name; a qualified call reaches the
+    qualifying class's members, else the src/ functions of that name."""
     cname = _receiver_class_name(model, fn, binding, call.receiver)
     if cname is not None:
         ci = model.find_class(cname)
-        if ci is not None:
-            for tf in ci.members.get(call.name, ()):
-                out.append((tf, {}))
-        return out
-    if call.receiver is None and call.qualifier is None:
-        if fn.cls is not None and call.name in fn.cls.members:
-            for tf in fn.cls.members[call.name]:
-                out.append((tf, dict(binding)))
-            return out
-        for tf in model.by_name.get(call.name, ()):
-            if tf.file.rel.startswith("src/") and tf.body is not None:
-                new_binding = {}
-                # bind graph-ish params of the callee positionally when an
-                # argument is a bound receiver (g -> backend)
-                out.append((tf, new_binding))
-    return out
+        return [(tf, {}) for tf in ci.members.get(call.name, ())] \
+            if ci is not None else []
+    if call.receiver is not None:
+        return [(tf, {}) for tf in model.by_name.get(call.name, ())
+                if tf.cls is not None and tf.file.rel.startswith("src/")]
+    if call.qualifier is None and fn.cls is not None and \
+            call.name in fn.cls.members:
+        return [(tf, dict(binding)) for tf in fn.cls.members[call.name]]
+    qual = model.find_class(call.qualifier.split("::")[-1]) \
+        if call.qualifier else None
+    if qual is not None:
+        return [(tf, {}) for tf in qual.members.get(call.name, ())]
+    return [(tf, {}) for tf in model.by_name.get(call.name, ())
+            if tf.file.rel.startswith("src/") and tf.body is not None]
 
 
 def _callees(model, fn, binding, backends, dead, graph_params):

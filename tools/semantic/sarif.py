@@ -1,9 +1,4 @@
-"""SARIF 2.1.0 emitter shared by igs_analyzer.py and igs_semantic.py.
-
-Both tools produce Finding-shaped objects (path, line, rule, message,
-suppressed, baselined, level); this module owns the serialization so the
-two SARIF artifacts stay structurally identical for CI upload.
-"""
+"""SARIF 2.1.0 emitter of tools/igs_analyze.py (one run, every rule)."""
 
 import json
 
@@ -11,15 +6,13 @@ SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/"
                 "sarif-spec/master/Schemata/sarif-schema-2.1.0.json")
 
 
-def sarif_document(tool_name, findings, root, rule_descriptions,
-                   rule_order=None):
-    """Build the SARIF document dict.  Suppressed findings are omitted;
-    baselined ones are emitted with suppression metadata so viewers show
-    them greyed out rather than hiding the audit trail."""
-    order = list(rule_order) if rule_order else sorted(rule_descriptions)
-    rules = [{"id": rule,
-              "shortDescription": {"text": rule_descriptions[rule]}}
-             for rule in order]
+def sarif_document(tool_name, findings, root, rule_descriptions):
+    """Build the SARIF document dict, rules in `rule_descriptions` order.
+    Suppressed findings are omitted; baselined ones are emitted with
+    suppression metadata so viewers show them greyed out rather than
+    hiding the audit trail."""
+    rules = [{"id": rule, "shortDescription": {"text": text}}
+             for rule, text in rule_descriptions.items()]
     results = []
     for f in findings:
         if f.suppressed:
@@ -56,10 +49,8 @@ def sarif_document(tool_name, findings, root, rule_descriptions,
     }
 
 
-def write_sarif(path, tool_name, findings, root, rule_descriptions,
-                rule_order=None):
-    doc = sarif_document(tool_name, findings, root, rule_descriptions,
-                         rule_order)
+def write_sarif(path, tool_name, findings, root, rule_descriptions):
+    doc = sarif_document(tool_name, findings, root, rule_descriptions)
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2)
         f.write("\n")
