@@ -184,9 +184,10 @@ using PendingAccumulator = stream::PendingAccumulator;
 struct PipelineStats {
     /** Snapshot publications (== compute rounds scheduled). */
     std::uint64_t epochs_published = 0;
-    /** Dirty vertices recopied across all publications. */
+    /** Dirty vertices revisited across all publications. */
     std::uint64_t dirty_vertices_copied = 0;
-    /** Directed edge entries recopied across all publications. */
+    /** Directed edge entries written across all publications (only the
+     *  changed part of each dirty row; graph::PublishStats). */
     std::uint64_t edges_copied = 0;
     /** Publications that had to wait for the in-flight compute round. */
     std::uint64_t backpressure_stalls = 0;

@@ -18,6 +18,7 @@ AdjacencyList::ensure_vertices(std::size_t n)
     }
     out_.resize(n);
     in_.resize(n);
+    marks_.grow(n);
     auto new_bids = std::make_unique<std::atomic<std::uint64_t>[]>(n);
     for (std::size_t i = 0; i < latest_bid_size_; ++i) {
         new_bids[i].store(latest_bid_[i].load(std::memory_order_relaxed),
@@ -40,17 +41,24 @@ AdjacencyList::apply_insert(VertexId v, Neighbor nbr, Direction dir)
     auto& edges = dir == Direction::kOut ? out_[p] : in_[p];
     ApplyResult r;
     r.len_before = static_cast<std::uint32_t>(edges.size());
-    for (Neighbor& e : edges) {
+    for (std::uint32_t i = 0; i < r.len_before; ++i) {
         ++r.probes;
-        if (e.id == nbr.id) {
-            e.weight += nbr.weight;
+        if (edges[i].id == nbr.id) {
+            edges[i].weight += nbr.weight;
             r.found = true;
+            r.written_at = i;
+            marks_.lower(p, dir, i);
             return r;
         }
     }
     // Amortized edge-array growth: the streamed insert is itself the
-    // workload being charged.  igs-lint: allow(hot-path-alloc)
+    // workload being charged.
+    reserve_row(edges, edges.size() + 1);
+    // Within the capacity reserve_row just ensured; never reallocates.
+    // igs-lint: allow(hot-path-alloc)
     edges.push_back(nbr);
+    r.written_at = r.len_before;
+    marks_.lower(p, dir, r.written_at);
     if (dir == Direction::kOut) {
         num_edges_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -65,12 +73,15 @@ AdjacencyList::apply_remove(VertexId v, VertexId nbr_id, Direction dir)
     auto& edges = dir == Direction::kOut ? out_[p] : in_[p];
     ApplyResult r;
     r.len_before = static_cast<std::uint32_t>(edges.size());
-    for (std::size_t i = 0; i < edges.size(); ++i) {
+    for (std::uint32_t i = 0; i < r.len_before; ++i) {
         ++r.probes;
         if (edges[i].id == nbr_id) {
+            // Swap-with-last: the hole at i is the lowest slot written.
             edges[i] = edges.back();
             edges.pop_back();
             r.found = true;
+            r.written_at = i;
+            marks_.lower(p, dir, i);
             if (dir == Direction::kOut) {
                 num_edges_.fetch_sub(1, std::memory_order_relaxed);
             }
@@ -80,20 +91,40 @@ AdjacencyList::apply_remove(VertexId v, VertexId nbr_id, Direction dir)
     return r;
 }
 
-void
-AdjacencyList::note_edges_added(Direction dir, EdgeId n)
+std::size_t
+AdjacencyList::apply_coalesced(VertexId v, Direction dir,
+                               FlatWeightTable& table)
 {
-    if (dir == Direction::kOut) {
-        num_edges_.fetch_add(n, std::memory_order_relaxed);
+    const VertexId p = map_.to_physical(v);
+    IGS_DCHECK(p < out_.size());
+    auto& edges = dir == Direction::kOut ? out_[p] : in_[p];
+    // Steps 2-3 (Fig 8): one scan of the edge data, a hash lookup per
+    // element, draining matches (the weight accumulates in place).
+    std::uint32_t written_at = kRowUnchanged;
+    const auto len_before = static_cast<std::uint32_t>(edges.size());
+    for (std::uint32_t i = 0; i < len_before; ++i) {
+        Weight w = 0.0f;
+        if (table.drain(edges[i].id, &w)) {
+            edges[i].weight += w;
+            written_at = std::min(written_at, i);
+        }
     }
-}
-
-void
-AdjacencyList::note_edges_removed(Direction dir, EdgeId n)
-{
-    if (dir == Direction::kOut) {
-        num_edges_.fetch_sub(n, std::memory_order_relaxed);
+    // Step 4: the remainder is new edges by construction; append it.
+    const std::size_t appended = table.size();
+    if (appended != 0) {
+        reserve_row(edges, len_before + appended);
+        table.for_each([&](VertexId target, Weight w) {
+            // Within the capacity reserved above; never reallocates.
+            // igs-lint: allow(hot-path-alloc)
+            edges.push_back(Neighbor{target, w});
+        });
+        written_at = std::min(written_at, len_before);
+        if (dir == Direction::kOut) {
+            num_edges_.fetch_add(appended, std::memory_order_relaxed);
+        }
     }
+    marks_.lower(p, dir, written_at);
+    return appended;
 }
 
 void
@@ -114,6 +145,7 @@ AdjacencyList::apply_renumber(std::span<const VertexId> l2p)
     }
     out_ = std::move(new_out);
     in_ = std::move(new_in);
+    marks_.renumber(map_, l2p);
     map_.rebind(l2p);
 }
 

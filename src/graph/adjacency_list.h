@@ -16,7 +16,9 @@
  *  - deletion of a non-existent edge is a no-op.
  *
  * The structure also carries the per-vertex `latest_bid` field the paper
- * adds for OCA's inter-batch overlap measurement (§5).
+ * adds for OCA's inter-batch overlap measurement (§5), and per-row change
+ * marks that let snapshot publication copy only what changed
+ * (graph/edge_rows.h).
  */
 #ifndef IGS_GRAPH_ADJACENCY_LIST_H
 #define IGS_GRAPH_ADJACENCY_LIST_H
@@ -28,8 +30,10 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/flat_table.h"
 #include "common/spinlock.h"
 #include "common/types.h"
+#include "graph/edge_rows.h"
 #include "graph/vertex_id_map.h"
 
 namespace igs::graph {
@@ -42,6 +46,10 @@ struct ApplyResult {
     std::uint32_t probes = 0;
     /** Edge-array length *before* the operation (drives lock-cost models). */
     std::uint32_t len_before = 0;
+    /** Lowest row index the operation wrote (a weight accumulated, an
+     *  append, a shifted or swap-filled slot); kRowUnchanged if none.
+     *  The store lowers the row's change mark with it. */
+    std::uint32_t written_at = kRowUnchanged;
 };
 
 /** Dynamic directed graph stored as per-vertex adjacency arrays. */
@@ -63,6 +71,7 @@ class AdjacencyList {
           latest_bid_(std::move(other.latest_bid_)),
           latest_bid_size_(other.latest_bid_size_),
           epoch_(other.epoch_), map_(std::move(other.map_)),
+          marks_(std::move(other.marks_)),
           num_edges_(other.num_edges_.exchange(0, std::memory_order_relaxed))
     {
         other.latest_bid_size_ = 0;
@@ -133,22 +142,15 @@ class AdjacencyList {
     }
 
     /**
-     * Mutable access to `v`'s edge array, for coalesced (USC) and
-     * simulated-hardware (HAU) update paths that manage their own scans.
-     * The caller must keep `num_edges` consistent via
-     * `note_edges_added`/`note_edges_removed`.
+     * USC coalesced apply (stream/updaters.h, Fig 8 steps 2-4): one scan
+     * of `v`'s edge array draining in-place weight matches from `table`,
+     * then the remaining table entries are appended in the table's
+     * iteration order.  Returns the number of appended edges; `num_edges`
+     * is updated internally.  Caller owns synchronization (run
+     * ownership).
      */
-    std::vector<Neighbor>&
-    edges_mut(VertexId v, Direction dir)
-    {
-        const VertexId p = map_.to_physical(v);
-        return dir == Direction::kOut ? out_[p] : in_[p];
-    }
-
-    /** Bookkeeping hooks for paths using `edges_mut` (out-direction only
-     *  counts toward `num_edges`). */
-    void note_edges_added(Direction dir, EdgeId n);
-    void note_edges_removed(Direction dir, EdgeId n);
+    std::size_t apply_coalesced(VertexId v, Direction dir,
+                                FlatWeightTable& table);
 
     /** OCA support: batch id in which `v` last appeared as a source. */
     std::uint64_t
@@ -179,6 +181,20 @@ class AdjacencyList {
     /** Advance to the next epoch and return the new token. */
     EpochId advance_epoch() { return ++epoch_; }
 
+    /**
+     * Lowest index of `v`'s `dir` row written since the previous call
+     * (kRowUnchanged if none), resetting the mark.  Read only by
+     * SnapshotStore::publish, between batches.
+     */
+    std::uint32_t
+    take_change_mark(VertexId v, Direction dir)
+    {
+        return marks_.take(map_.to_physical(v), dir);
+    }
+
+    /** Mark every row unchanged (after a whole-graph publication). */
+    void clear_change_marks() { marks_.clear(); }
+
     /** Sorted copy of an edge array (test/diff helper). */
     std::vector<Neighbor> sorted_edges(VertexId v, Direction dir) const;
 
@@ -188,9 +204,9 @@ class AdjacencyList {
     /**
      * Re-place adjacency rows under a new logical->physical assignment
      * (a permutation of [0, num_vertices()); see LocalityRenumberer).
-     * Rows are move-permuted — edge payloads (logical neighbor ids) are
-     * untouched, and `latest_bid` stays logical-indexed, so every public
-     * read is invariant under this call.  Single-threaded, between
+     * Rows are move-permuted with their change marks — edge payloads
+     * (logical neighbor ids) are untouched, and `latest_bid` stays
+     * logical-indexed, so every public read is invariant under this call.  Single-threaded, between
      * batches, like `ensure_vertices`.  Declared backend capability
      * (tools/layers.toml [semantic.backends.AdjacencyList]).
      */
@@ -208,6 +224,7 @@ class AdjacencyList {
     std::size_t latest_bid_size_ = 0;
     EpochId epoch_ = 0;
     VertexIdMap map_;
+    ChangeMarks marks_;
     std::atomic<EdgeId> num_edges_{0};
 };
 

@@ -5,7 +5,7 @@
  * The pipeline already computes, per epoch, exactly which vertices an
  * incremental algorithm needs to look at: stream::PendingAccumulator
  * deduplicates every src/dst touched since the last hand-off, and
- * SnapshotStore::publish recopies only those vertices.  This view carries
+ * SnapshotStore::publish revisits only those vertices.  This view carries
  * that same set alongside the topology so the compute phase can consume
  * it without a second bookkeeping channel: `DirtySetView` satisfies
  * graph::GraphReadPath (it forwards `num_vertices`/`degree`/`edges` to

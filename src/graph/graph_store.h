@@ -5,10 +5,11 @@
  * The compute phase only ever *reads* topology: `num_vertices()`,
  * `degree(v, dir)` and `edges(v, dir)`.  The update phase mutates a live
  * structure through a different, backend-specific surface (apply_insert /
- * apply_remove / edges_mut).  Splitting the two lets the engine pipeline
- * them: compute for epoch k runs against an immutable @ref SnapshotView
- * while the ingest of batch k+1 mutates the live store (DESIGN.md §11,
- * and the decoupled ingest/compute model of the streaming-graph survey).
+ * apply_remove / apply_coalesced, which also lower per-row change marks).
+ * Splitting the two lets the engine pipeline them: compute for epoch k
+ * runs against an immutable @ref SnapshotView while the ingest of batch
+ * k+1 mutates the live store (DESIGN.md §11, and the decoupled
+ * ingest/compute model of the streaming-graph survey).
  *
  * Epoch tokens version the read path.  The live store's `epoch()` counts
  * compute hand-offs (it advances at each epoch publication); a snapshot's

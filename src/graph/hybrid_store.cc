@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/telemetry.h"
+#include "graph/edge_rows.h"
 
 namespace igs::graph {
 
@@ -56,14 +57,18 @@ HybridEdgeSet::insert(Neighbor nbr, std::uint32_t sorted_threshold)
     r.len_before = count_;
 
     if (tier_ == kInline) {
+        // An inline row is at most kInlineCapacity entries: any write
+        // marks it changed from index 0.
         for (std::uint32_t i = 0; i < count_; ++i) {
             ++r.probes;
             if (inline_[i].id == nbr.id) {
                 inline_[i].weight += nbr.weight;
                 r.found = true;
+                r.written_at = 0;
                 return r;
             }
         }
+        r.written_at = 0;
         if (count_ < kInlineCapacity) {
             inline_[count_++] = nbr;
             return r;
@@ -90,11 +95,15 @@ HybridEdgeSet::insert(Neighbor nbr, std::uint32_t sorted_threshold)
         if (heap_[lo].id == nbr.id) {
             heap_[lo].weight += nbr.weight;
             r.found = true;
+            r.written_at = lo;
             return r;
         }
     }
-    // igs-lint: allow(hot-path-alloc) -- amortized sorted-array growth
+    // The insert shifts [lo, count_) up by one.
+    reserve_row(heap_, count_ + 1);
+    // igs-lint: allow(hot-path-alloc) -- within the reserve_row capacity
     heap_.insert(heap_.begin() + lo, nbr);
+    r.written_at = std::min(r.written_at, lo);
     ++count_;
     if (count_ >= sorted_threshold) {
         promote_to_hash();
@@ -118,18 +127,21 @@ HybridEdgeSet::hash_insert(Neighbor nbr)
         if (n.id == nbr.id) {
             n.weight += nbr.weight;
             r.found = true;
+            r.written_at = index_[i] - 1;
             return r;
         }
         i = (i + 1) & mask;
     }
     ++r.probes;
-    // igs-lint: allow(hot-path-alloc) -- amortized dense-array growth
+    reserve_row(heap_, count_ + 1);
+    // igs-lint: allow(hot-path-alloc) -- within the reserve_row capacity
     heap_.push_back(nbr);
     // The hash index stores 1-based uint32 slots into the dense array;
     // a per-vertex edge set past 2^32-1 entries would silently alias.
     IGS_DCHECK(heap_.size() <=
                std::numeric_limits<std::uint32_t>::max());
     index_[i] = static_cast<std::uint32_t>(heap_.size());
+    r.written_at = count_;
     ++count_;
     return r;
 }
@@ -151,6 +163,7 @@ HybridEdgeSet::remove(VertexId nbr_id)
                 inline_[i] = inline_[count_ - 1];
                 --count_;
                 r.found = true;
+                r.written_at = 0;
                 return r;
             }
         }
@@ -176,6 +189,7 @@ HybridEdgeSet::remove(VertexId nbr_id)
             heap_.erase(heap_.begin() + lo);
             --count_;
             r.found = true;
+            r.written_at = lo;
         }
     }
     return r;
@@ -221,6 +235,7 @@ HybridEdgeSet::hash_remove(VertexId nbr_id)
             }
             heap_.pop_back();
             --count_;
+            r.written_at = pos;
             return r;
         }
         i = (i + 1) & mask;
@@ -302,6 +317,7 @@ HybridStore::ensure_vertices(std::size_t n)
     }
     out_.resize(n);
     in_.resize(n);
+    marks_.grow(n);
     auto new_bids = std::make_unique<std::atomic<std::uint64_t>[]>(n);
     for (std::size_t i = 0; i < latest_bid_size_; ++i) {
         new_bids[i].store(latest_bid_[i].load(std::memory_order_relaxed),
@@ -349,6 +365,7 @@ HybridStore::apply_insert(VertexId v, Neighbor nbr, Direction dir)
     IGS_DCHECK(p < out_.size());
     auto& set = dir == Direction::kOut ? out_[p] : in_[p];
     const ApplyResult r = insert_into(set, nbr);
+    marks_.lower(p, dir, r.written_at);
     if (!r.found && dir == Direction::kOut) {
         num_edges_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -362,6 +379,7 @@ HybridStore::apply_remove(VertexId v, VertexId nbr_id, Direction dir)
     IGS_DCHECK(p < out_.size());
     auto& set = dir == Direction::kOut ? out_[p] : in_[p];
     const ApplyResult r = remove_from(set, nbr_id);
+    marks_.lower(p, dir, r.written_at);
     if (r.found && dir == Direction::kOut) {
         num_edges_.fetch_sub(1, std::memory_order_relaxed);
     }
@@ -376,10 +394,12 @@ HybridStore::apply_coalesced(VertexId v, Direction dir, FlatWeightTable& table)
     auto& set = dir == Direction::kOut ? out_[p] : in_[p];
     // Steps 2-3 (Fig 8): one scan of the edge data, draining table
     // entries that match existing edges (weight accumulates in place).
-    for (Neighbor& n : set.view_mut()) {
+    const std::span<Neighbor> row = set.view_mut();
+    for (std::uint32_t i = 0; i < set.size(); ++i) {
         Weight w = 0.0f;
-        if (table.drain(n.id, &w)) {
-            n.weight += w;
+        if (table.drain(row[i].id, &w)) {
+            row[i].weight += w;
+            marks_.lower(p, dir, i);
         }
     }
     // Step 4: the remainder is new edges by construction; the tiered
@@ -389,7 +409,7 @@ HybridStore::apply_coalesced(VertexId v, Direction dir, FlatWeightTable& table)
     table.for_each([&](VertexId target, Weight w) {
         const ApplyResult r = insert_into(set, Neighbor{target, w});
         IGS_DCHECK(!r.found);
-        (void)r;
+        marks_.lower(p, dir, r.written_at);
         ++appended;
     });
     if (dir == Direction::kOut && appended != 0) {
@@ -415,6 +435,7 @@ HybridStore::apply_renumber(std::span<const VertexId> l2p)
     }
     out_ = std::move(new_out);
     in_ = std::move(new_in);
+    marks_.renumber(map_, l2p);
     map_.rebind(l2p);
 }
 

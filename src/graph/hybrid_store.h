@@ -30,7 +30,8 @@
  * All three tiers expose the edge set as one contiguous
  * std::span<const Neighbor>, so the store satisfies graph::GraphStore and
  * plugs into SnapshotStore publication and every analytics read path
- * unchanged.  Telemetry: core.graph.tier_* (registered lazily on first
+ * unchanged.  Like AdjacencyList it keeps per-row change marks, and its
+ * heap arrays grow by the shared rule of graph/edge_rows.h.  Telemetry: core.graph.tier_* (registered lazily on first
  * use so runs that never construct a HybridStore keep their golden
  * registry snapshots unchanged).
  */
@@ -48,6 +49,7 @@
 #include "common/spinlock.h"
 #include "common/types.h"
 #include "graph/adjacency_list.h" // ApplyResult
+#include "graph/edge_rows.h"
 #include "graph/graph_store.h"
 #include "graph/store_tuning.h"
 #include "graph/vertex_id_map.h"
@@ -76,11 +78,15 @@ class HybridEdgeSet {
      * (StoreTuning::hybrid_sorted_threshold).  ApplyResult::probes counts
      * the id comparisons the duplicate check performed — a linear-scan
      * count at tier 0, a binary-search count at tier 1, a cluster-probe
-     * count at tier 2.
+     * count at tier 2.  ApplyResult::written_at is 0 for any write at
+     * tier 0 or a promotion to tier 1, the hit or insert position at
+     * tier 1, and the hit position or the appended slot at tier 2.
      */
     ApplyResult insert(Neighbor nbr, std::uint32_t sorted_threshold);
 
-    /** Remove if present (no-op otherwise); never demotes the tier. */
+    /** Remove if present (no-op otherwise); never demotes the tier.
+     *  ApplyResult::written_at is 0 at tier 0, the erase position at
+     *  tier 1 and the swap-filled hole at tier 2. */
     ApplyResult remove(VertexId nbr_id);
 
     /** Contiguous view of the stored edges (any tier). */
@@ -136,9 +142,9 @@ class HybridEdgeSet {
 /**
  * Dynamic directed graph over @ref HybridEdgeSet per vertex/direction.
  * Drop-in peer of AdjacencyList for the real-time engine: same locking
- * surface, same latest_bid OCA support, same epoch tokens.  The USC update
- * path uses @ref apply_coalesced instead of AdjacencyList's raw
- * `edges_mut` (the hash index must stay consistent with the dense array).
+ * surface, same latest_bid OCA support, same epoch tokens, same
+ * @ref apply_coalesced USC surface (here the tiered insert keeps the hash
+ * index consistent with the dense array), same change marks.
  */
 class HybridStore {
   public:
@@ -154,7 +160,7 @@ class HybridStore {
           latest_bid_(std::move(other.latest_bid_)),
           latest_bid_size_(other.latest_bid_size_),
           epoch_(other.epoch_), tuning_(other.tuning_),
-          map_(std::move(other.map_)),
+          map_(std::move(other.map_)), marks_(std::move(other.marks_)),
           num_edges_(other.num_edges_.exchange(0, std::memory_order_relaxed))
     {
         other.latest_bid_size_ = 0;
@@ -241,6 +247,15 @@ class HybridStore {
     EpochId epoch() const { return epoch_; }
     EpochId advance_epoch() { return ++epoch_; }
 
+    /** See AdjacencyList::take_change_mark / clear_change_marks. */
+    std::uint32_t
+    take_change_mark(VertexId v, Direction dir)
+    {
+        return marks_.take(map_.to_physical(v), dir);
+    }
+
+    void clear_change_marks() { marks_.clear(); }
+
     /** Sorted copy of an edge set (tests / CSR building). */
     std::vector<Neighbor>
     sorted_edges(VertexId v, Direction dir) const
@@ -249,8 +264,8 @@ class HybridStore {
     }
 
     /** See AdjacencyList::apply_renumber — move-permutes the per-vertex
-     *  HybridEdgeSet records (any tier; the heap arrays and hash indexes
-     *  travel with them).  Declared backend capability
+     *  HybridEdgeSet records (any tier; the heap arrays, hash indexes and
+     *  change marks travel with them).  Declared backend capability
      *  (tools/layers.toml [semantic.backends.HybridStore]). */
     void apply_renumber(std::span<const VertexId> l2p);
 
@@ -314,6 +329,7 @@ class HybridStore {
     EpochId epoch_ = 0;
     StoreTuning tuning_;
     VertexIdMap map_;
+    ChangeMarks marks_;
     std::atomic<EdgeId> num_edges_{0};
 };
 

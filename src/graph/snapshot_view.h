@@ -7,11 +7,14 @@
  * @ref SnapshotStore never copies the whole graph in steady state: the
  * engine hands it the dirty-vertex set accumulated since the previous
  * publication (stream::PendingWork::affected — every src/dst of every
- * batch edge, deduplicated) and only those vertices' edge arrays are
- * recopied.  Per-vertex copies use vector::assign, which reuses the
- * destination's capacity, so a warmed-up snapshot allocates only when a
- * vertex's degree outgrows its previous high-water mark or when the
- * vertex space itself grows.
+ * batch edge, deduplicated), and of those vertices' rows it copies only
+ * the part that changed.  Each live store keeps a change mark per row and
+ * direction — the lowest index written since the last publication
+ * (graph/edge_rows.h) — so a row is skipped when unchanged and otherwise
+ * refreshed from its mark: an append-only epoch copies the appended
+ * entries, not the row.  Snapshot rows grow by the same rule as live
+ * rows (a quarter of slack), so a growing row rarely reallocates; when
+ * it does, it is copied whole into the new buffer.
  *
  * Thread contract: `publish` mutates the store and must never run
  * concurrently with readers of an outstanding @ref SnapshotView.  The
@@ -22,12 +25,14 @@
 #ifndef IGS_GRAPH_SNAPSHOT_VIEW_H
 #define IGS_GRAPH_SNAPSHOT_VIEW_H
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "common/check.h"
 #include "common/types.h"
+#include "graph/edge_rows.h"
 #include "graph/graph_store.h"
 
 namespace igs::graph {
@@ -36,9 +41,9 @@ namespace igs::graph {
 struct PublishStats {
     /** Epoch stamped on the refreshed snapshot. */
     EpochId epoch = 0;
-    /** Dirty vertices whose edge arrays were recopied. */
+    /** Dirty vertices whose rows were revisited. */
     std::size_t dirty_vertices = 0;
-    /** Directed edge entries copied (out + in). */
+    /** Directed edge entries actually written (out + in). */
     EdgeId copied_edges = 0;
     /** Vertex slots added because the live graph grew. */
     std::size_t grown_vertices = 0;
@@ -100,20 +105,29 @@ class SnapshotView {
 class SnapshotStore {
   public:
     /**
-     * Refresh the snapshot from `live`, recopying only `dirty` vertices
+     * Refresh the snapshot from `live`, revisiting only `dirty` vertices
      * (ids may exceed the live vertex space if the stream referenced them
      * before growth — such ids are clamped out).  `dirty` must be
      * deduplicated and must cover every vertex whose edge arrays changed
      * since the previous publish; stream::PendingAccumulator::hand_off
-     * provides exactly that.  On the first publication (epoch_ == 0) the
-     * whole live graph is copied regardless of `dirty`, so a store can
-     * attach to a pre-loaded graph.
+     * provides exactly that.  Of each dirty vertex's rows only the part
+     * at or after the row's change mark is copied, and the marks are
+     * reset — so one SnapshotStore per live store.  On the first
+     * publication (epoch_ == 0) the whole live graph is copied regardless
+     * of `dirty` and every mark is cleared, so a store can attach to a
+     * pre-loaded graph.  Aborts unless the live epoch advanced since the
+     * previous publication (the caller's advance_epoch): a caller that
+     * never advanced would otherwise have every publication taken for a
+     * first one, recopying the whole graph.
      */
     template <typename Live>
         requires GraphStore<Live>
     PublishStats
-    publish(const Live& live, std::span<const VertexId> dirty)
+    publish(Live& live, std::span<const VertexId> dirty)
     {
+        IGS_CHECK_MSG(live.epoch() > epoch_,
+                      "SnapshotStore::publish: advance the live epoch "
+                      "before every publication");
         PublishStats stats;
         const std::size_t n = live.num_vertices();
         const bool first = epoch_ == 0;
@@ -127,15 +141,26 @@ class SnapshotStore {
         }
         if (first) {
             for (VertexId v = 0; v < n; ++v) {
-                stats.copied_edges += copy_vertex(live, v);
+                stats.copied_edges +=
+                    refresh_row(out_[v], live.edges(v, Direction::kOut), 0) +
+                    refresh_row(in_[v], live.edges(v, Direction::kIn), 0);
             }
+            live.clear_change_marks();
             stats.dirty_vertices = n;
         } else {
             for (VertexId v : dirty) {
                 if (v >= n) {
                     continue;
                 }
-                stats.copied_edges += copy_vertex(live, v);
+                for (Direction dir : {Direction::kOut, Direction::kIn}) {
+                    const std::uint32_t mark = live.take_change_mark(v, dir);
+                    if (mark == kRowUnchanged) {
+                        continue;
+                    }
+                    auto& rows = dir == Direction::kOut ? out_ : in_;
+                    stats.copied_edges +=
+                        refresh_row(rows[v], live.edges(v, dir), mark);
+                }
             }
             stats.dirty_vertices = dirty.size();
         }
@@ -151,17 +176,32 @@ class SnapshotStore {
     EpochId epoch() const { return epoch_; }
 
   private:
-    template <typename Live>
-    EdgeId
-    copy_vertex(const Live& live, VertexId v)
+    /**
+     * Bring snapshot row `snap` level with live row `live`, whose entries
+     * before index `mark` are unchanged since the last publication.
+     * Returns the entries written.
+     */
+    template <typename Row>
+    static EdgeId
+    refresh_row(std::vector<Neighbor>& snap, const Row& live,
+                std::uint32_t mark)
     {
-        // vector::assign reuses the destination's capacity: steady-state
-        // republication of a stable-degree vertex performs no allocation.
-        const auto& lo = live.edges(v, Direction::kOut);
-        out_[v].assign(lo.begin(), lo.end());
-        const auto& li = live.edges(v, Direction::kIn);
-        in_[v].assign(li.begin(), li.end());
-        return static_cast<EdgeId>(lo.size() + li.size());
+        const std::size_t size = live.size();
+        if (size > snap.capacity()) {
+            // Outgrew its slack: one reallocation by the shared growth
+            // rule, and the whole row goes into the new buffer.
+            snap.clear();
+            reserve_row(snap, size);
+            snap.assign(live.begin(), live.end());
+            return size;
+        }
+        const std::size_t from =
+            std::min({static_cast<std::size_t>(mark), snap.size(), size});
+        // Within the capacity checked above; never reallocates.
+        // igs-lint: allow(hot-path-alloc)
+        snap.resize(size);
+        std::copy(live.begin() + from, live.end(), snap.begin() + from);
+        return size - from;
     }
 
     std::vector<std::vector<Neighbor>> out_;

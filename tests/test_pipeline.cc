@@ -4,11 +4,15 @@
  * pipeline (DESIGN.md §11): snapshot publication correctness, depth-1
  * equivalence with the pre-pipeline engine, depth-2 result equality with
  * the serial run, backpressure accounting, per-epoch PendingWork
- * hand-off, and the sim frontend's modeled overlap.
+ * hand-off, and the sim frontend's modeled overlap.  Publication copies
+ * only what each row's change mark says changed; the seeded
+ * SnapshotStore.* harness checks the snapshot against the live store
+ * after every publication (seeds replay via $IGS_TEST_SEED).
  */
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -20,15 +24,19 @@
 #include "analytics/sssp.h"
 #include "analytics/traversal.h"
 #include "common/mutex.h"
+#include "common/random.h"
 #include "common/thread_pool.h"
 #include "core/engine.h"
 #include "gen/edge_stream.h"
 #include "graph/adjacency_list.h"
 #include "graph/graph_store.h"
+#include "graph/hybrid_store.h"
 #include "graph/indexed_adjacency.h"
 #include "graph/snapshot_view.h"
 #include "sim/sim_engine.h"
 #include "stream/pending.h"
+#include "stream/reorder.h"
+#include "stream/updaters.h"
 
 #include "test_support.h"
 
@@ -37,8 +45,10 @@ namespace {
 
 using testutil::expect_reports_equal;
 using testutil::expect_snapshot_matches_live;
+using testutil::harness_seeds;
 using testutil::pipeline_batch;
 using testutil::pipeline_config;
+using testutil::seed_trace;
 
 // Every storage backend satisfies the read-path concept; the live stores
 // and the snapshot additionally carry the epoch token.
@@ -112,6 +122,262 @@ TEST(SnapshotStore, DirtyIdsBeyondLiveVertexSpaceAreIgnored)
     const auto ps = store.publish(live, dirty);
     EXPECT_EQ(ps.copied_edges, 0u);
     EXPECT_EQ(store.view().num_vertices(), 4u);
+}
+
+TEST(SnapshotStoreDeathTest, PublishWithoutEpochAdvanceAborts)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    graph::AdjacencyList live(4);
+    graph::SnapshotStore store;
+    // A live store that never advanced would be taken for a first
+    // publication every time, recopying the whole graph ...
+    EXPECT_DEATH((void)store.publish(live, {}), "advance the live epoch");
+    live.advance_epoch();
+    (void)store.publish(live, {});
+    // ... and every later publication must see a newer epoch.
+    live.apply_insert(0, {1, 1.0f}, Direction::kOut);
+    const std::vector<VertexId> dirty{0};
+    EXPECT_DEATH((void)store.publish(live, dirty), "advance the live epoch");
+}
+
+/** A live store of backend `Live` over `n` vertices; HybridStore gets
+ *  the tight tuning so small degrees cross both promotion thresholds. */
+template <typename Live>
+Live
+make_live(std::size_t n)
+{
+    if constexpr (std::is_same_v<Live, graph::HybridStore>) {
+        return graph::HybridStore(n, testutil::tight_tuning());
+    } else {
+        return Live(n);
+    }
+}
+
+/** `v` with `degree` out-edges (targets 1..degree), published once. */
+template <typename Live>
+void
+publish_out_row(Live& live, graph::SnapshotStore& store, VertexId v,
+                std::uint32_t degree)
+{
+    for (VertexId t = 1; t <= degree; ++t) {
+        live.apply_insert(v, {t, 1.0f}, Direction::kOut);
+    }
+    live.advance_epoch();
+    (void)store.publish(live, {});
+}
+
+template <typename Live>
+void
+append_only_epoch_copies_appended_entries()
+{
+    Live live = make_live<Live>(1200);
+    graph::SnapshotStore store;
+    publish_out_row(live, store, 0, 1000);
+    const std::vector<VertexId> dirty{0};
+    // The first publication copied the row exact-fit, so its first
+    // growth reallocates by the growth rule and copies it whole ...
+    live.apply_insert(0, {1001, 1.0f}, Direction::kOut);
+    live.advance_epoch();
+    EXPECT_EQ(store.publish(live, dirty).copied_edges, 1001u);
+    // ... after which appends land in the slack: only they are copied.
+    for (VertexId t = 1002; t <= 1004; ++t) {
+        live.apply_insert(0, {t, 1.0f}, Direction::kOut);
+    }
+    live.advance_epoch();
+    EXPECT_EQ(store.publish(live, dirty).copied_edges, 3u);
+    expect_snapshot_matches_live(store.view(), live);
+}
+
+TEST(SnapshotStore, AppendOnlyEpochCopiesOnlyAppendedEntries)
+{
+    append_only_epoch_copies_appended_entries<graph::AdjacencyList>();
+    append_only_epoch_copies_appended_entries<graph::HybridStore>();
+}
+
+template <typename Live>
+void
+duplicate_at_row_start_recopies_row()
+{
+    Live live = make_live<Live>(1200);
+    graph::SnapshotStore store;
+    publish_out_row(live, store, 0, 1000);
+    // Accumulate onto the row's first entry: everything from index 0 on
+    // may have changed as far as the mark can tell.
+    const VertexId first = live.edges(0, Direction::kOut)[0].id;
+    EXPECT_TRUE(live.apply_insert(0, {first, 2.0f}, Direction::kOut).found);
+    live.advance_epoch();
+    const std::vector<VertexId> dirty{0};
+    EXPECT_EQ(store.publish(live, dirty).copied_edges, 1000u);
+    expect_snapshot_matches_live(store.view(), live);
+}
+
+TEST(SnapshotStore, DuplicateAtRowStartCopiesWholeRow)
+{
+    duplicate_at_row_start_recopies_row<graph::AdjacencyList>();
+    duplicate_at_row_start_recopies_row<graph::HybridStore>();
+}
+
+template <typename Live>
+void
+untouched_direction_copies_nothing()
+{
+    Live live = make_live<Live>(64);
+    graph::SnapshotStore store;
+    for (VertexId u = 1; u <= 40; ++u) {
+        live.apply_insert(0, {u, 1.0f}, Direction::kIn);
+    }
+    publish_out_row(live, store, 0, 40);
+    // Only vertex 0's out-row changes (a weight hit on its last entry);
+    // its 40-entry in-row is dirty by vertex but unchanged by mark.
+    const VertexId last = live.edges(0, Direction::kOut)[39].id;
+    EXPECT_TRUE(live.apply_insert(0, {last, 1.0f}, Direction::kOut).found);
+    live.advance_epoch();
+    const std::vector<VertexId> dirty{0};
+    EXPECT_EQ(store.publish(live, dirty).copied_edges, 1u);
+    expect_snapshot_matches_live(store.view(), live);
+}
+
+TEST(SnapshotStore, UntouchedDirectionCopiesNothing)
+{
+    untouched_direction_copies_nothing<graph::AdjacencyList>();
+    untouched_direction_copies_nothing<graph::HybridStore>();
+}
+
+/**
+ * Targeted edges against `live`: for a few rows — hub in-rows, the long
+ * ones, and random out-rows — a duplicate of the row's first entry (a
+ * weight hit at index 0) and a delete of its middle entry (a
+ * swap-with-last hole, a sorted-tier erase or a hashed-tier swap-fill).
+ * They ride in a batch so the dirty set sees them.
+ */
+template <typename Live>
+std::vector<StreamEdge>
+targeted_edges(const Live& live, std::uint64_t num_hubs, Rng& rng)
+{
+    std::vector<StreamEdge> edges;
+    for (int k = 0; k < 4; ++k) {
+        const Direction dir = k % 2 == 0 ? Direction::kIn : Direction::kOut;
+        const auto v = static_cast<VertexId>(rng.below(
+            dir == Direction::kIn
+                ? std::min<std::uint64_t>(num_hubs, live.num_vertices())
+                : live.num_vertices()));
+        const auto& row = live.edges(v, dir);
+        // The streamed edge behind v's row entry i.
+        const auto edge = [&](std::size_t i, Weight w, bool del) {
+            return dir == Direction::kOut ? StreamEdge{v, row[i].id, w, del}
+                                          : StreamEdge{row[i].id, v, w, del};
+        };
+        if (row.empty()) {
+            continue;
+        }
+        edges.push_back(edge(0, 0.5f, false));
+        if (row.size() >= 2) {
+            edges.push_back(edge(row.size() / 2, 1.0f, true));
+        }
+    }
+    return edges;
+}
+
+/**
+ * Drive `Live` with a seeded stream through every update kernel and
+ * publish after each group of 1-3 batches, checking snapshot == live
+ * after every publication.  The stream's vertex space widens halfway,
+ * and two publications are preceded by an apply_renumber.
+ */
+template <typename Live>
+void
+snapshot_tracks_live(std::uint64_t seed)
+{
+    ThreadPool pool(2);
+    stream::UscScratch scratch;
+    stream::RealContext ctx(pool, &scratch);
+    Rng rng(seed);
+    Live live = make_live<Live>(0);
+    graph::SnapshotStore store;
+    stream::PendingAccumulator pending;
+
+    gen::StreamModel m;
+    m.num_vertices = 240;
+    m.num_hubs = 6;
+    m.hub_mass_dst = 0.5;
+    m.delete_fraction = 0.2;
+    m.weighted = true;
+    m.seed = seed;
+    gen::EdgeStreamGenerator narrow(m);
+    m.num_vertices = 400;
+    m.seed = seed + 1;
+    gen::EdgeStreamGenerator wide(m);
+
+    std::uint64_t bid = 0;
+    constexpr int kEpochs = 24;
+    for (int epoch = 1; epoch <= kEpochs; ++epoch) {
+        const auto batches = 1 + rng.below(3);
+        for (std::uint64_t b = 0; b < batches; ++b) {
+            auto edges = (epoch <= kEpochs / 2 ? narrow : wide).take(150);
+            if (live.num_vertices() > 0) {
+                const auto extra = targeted_edges(live, m.num_hubs, rng);
+                edges.insert(edges.end(), extra.begin(), extra.end());
+            }
+            const stream::EdgeBatch batch(++bid, std::move(edges));
+            VertexId max_id = 0;
+            for (const StreamEdge& e : batch.edges()) {
+                max_id = std::max({max_id, e.src, e.dst});
+            }
+            live.ensure_vertices(max_id + 1);
+            switch (rng.below(3)) {
+            case 0:
+                stream::apply_batch_baseline(live, batch, ctx);
+                break;
+            case 1:
+                stream::apply_batch_reordered(
+                    live, batch, stream::reorder_batch(batch.edges(), pool),
+                    ctx);
+                break;
+            default:
+                stream::apply_batch_usc(
+                    live, batch, stream::reorder_batch(batch.edges(), pool),
+                    ctx);
+                break;
+            }
+            pending.note_batch(batch);
+        }
+        if (epoch == 8 || epoch == 16) {
+            // Re-place every row; marks must travel with their rows.
+            std::vector<VertexId> l2p(live.num_vertices());
+            std::iota(l2p.begin(), l2p.end(), VertexId{0});
+            std::shuffle(l2p.begin(), l2p.end(), rng);
+            live.apply_renumber(l2p);
+        }
+        const EpochId e = live.advance_epoch();
+        const stream::PendingWork work = pending.hand_off(e);
+        (void)store.publish(live, work.affected);
+        SCOPED_TRACE("epoch " + std::to_string(epoch));
+        expect_snapshot_matches_live(store.view(), live);
+        if (::testing::Test::HasFailure()) {
+            return;
+        }
+    }
+    EXPECT_GT(live.num_vertices(), 240u);
+    if constexpr (std::is_same_v<Live, graph::HybridStore>) {
+        // The stream crossed both promotion thresholds somewhere.
+        EXPECT_GT(live.tier_census().vertices[graph::HybridEdgeSet::kHashed],
+                  0u);
+    }
+}
+
+TEST(SnapshotStore, MatchesLiveAfterEveryPublication)
+{
+    for (const std::uint64_t seed : harness_seeds({151, 152, 153})) {
+        SCOPED_TRACE(seed_trace(seed));
+        {
+            SCOPED_TRACE("AdjacencyList");
+            snapshot_tracks_live<graph::AdjacencyList>(seed);
+        }
+        {
+            SCOPED_TRACE("HybridStore");
+            snapshot_tracks_live<graph::HybridStore>(seed);
+        }
+    }
 }
 
 // ----------------------------------------------------- pending hand-off
@@ -400,6 +666,37 @@ TEST(RealTimeEnginePipeline, FlushPublishesOcaDeferredTail)
 }
 
 // ----------------------------------------------------- epochs + tokens
+template <typename Live>
+void
+depth_two_usc_snapshot_matches_live()
+{
+    // Two USC workers write rows (and their change marks) under run
+    // ownership while the previous epoch computes on the snapshot.
+    ThreadPool pool(2);
+    auto cfg = pipeline_config(core::UpdatePolicy::kAlwaysReorderUsc, 2);
+    cfg.store = testutil::tight_tuning();
+    core::BasicRealTimeEngine<Live> engine(cfg, 2000, pool);
+    std::atomic<std::uint64_t> rounds{0};
+    engine.set_compute(
+        [&](const graph::SnapshotView& snap, const core::PendingWork& w) {
+            EXPECT_EQ(snap.epoch(), w.epoch);
+            rounds.fetch_add(1, std::memory_order_relaxed);
+        });
+    for (std::uint64_t k = 1; k <= 8; ++k) {
+        (void)engine.ingest(pipeline_batch(k, 1500, 70 + k));
+    }
+    engine.flush_pipeline();
+    EXPECT_GT(rounds.load(), 1u);
+    expect_snapshot_matches_live(engine.snapshot(), engine.graph());
+    EXPECT_EQ(engine.snapshot().epoch(), engine.graph().epoch());
+}
+
+TEST(RealTimeEnginePipeline, DepthTwoUscSnapshotMatchesLiveAfterFlush)
+{
+    depth_two_usc_snapshot_matches_live<graph::AdjacencyList>();
+    depth_two_usc_snapshot_matches_live<graph::HybridStore>();
+}
+
 TEST(Epochs, AdvanceOnHandOffAndStampWork)
 {
     sim::SimEngine engine(pipeline_config(core::UpdatePolicy::kBaseline, 2),

@@ -92,15 +92,18 @@ tight_tuning()
     return t;
 }
 
-inline void
-expect_snapshot_matches_live(const graph::SnapshotView& snap,
-                             const graph::AdjacencyList& live)
+/** The snapshot equals the live store row by row, in order. */
+template <typename Live>
+void
+expect_snapshot_matches_live(const graph::SnapshotView& snap, const Live& live)
 {
     ASSERT_EQ(snap.num_vertices(), live.num_vertices());
     EXPECT_EQ(snap.num_edges(), live.num_edges());
     for (VertexId v = 0; v < live.num_vertices(); ++v) {
         for (Direction dir : {Direction::kOut, Direction::kIn}) {
-            EXPECT_EQ(snap.edges(v, dir), live.edges(v, dir))
+            const auto& row = live.edges(v, dir);
+            EXPECT_EQ(snap.edges(v, dir),
+                      std::vector<Neighbor>(row.begin(), row.end()))
                 << "vertex " << v << " dir " << to_string(dir);
         }
     }
