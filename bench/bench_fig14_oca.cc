@@ -50,7 +50,8 @@ main(int argc, char** argv)
                                            sim::SwCostParams{},
                                            sim::HauCostParams{},
                                            ds.model.num_vertices);
-                    analytics::IncrementalPageRank pr;
+                    bench::IncrementalCompute pr(Algo::kPageRank,
+                                                 engine.graph());
                     auto genr = ds.make_generator();
                     Cycles compute = 0;
                     for (std::uint64_t k = 1; k <= nb; ++k) {
@@ -59,13 +60,9 @@ main(int argc, char** argv)
                         batch.set_edges(genr.take(b));
                         engine.ingest(batch);
                         if (engine.compute_due()) {
-                            const auto work = engine.take_pending_work();
-                            compute += pr
-                                           .on_batch(engine.graph(),
-                                                     work.affected)
-                                           .cycles(
-                                               analytics::
-                                                   ComputeCostParams{});
+                            compute += pr.round(engine.graph(),
+                                                engine.take_pending_work())
+                                           .cycles();
                         }
                     }
                     return compute;

@@ -256,9 +256,11 @@ run_equivalence(const Workload& wl)
     core::RealTimeEngine as_engine(cfg, ds.model.num_vertices, pool);
     cfg.graph_backend = core::GraphBackend::kHybrid;
     core::AnyRealTimeEngine hy_engine(cfg, ds.model.num_vertices, pool);
-
-    analytics::IncrementalPageRank pr_as;
-    analytics::IncrementalPageRank pr_hy;
+    const graph::AdjacencyList& ga = as_engine.graph();
+    const graph::HybridStore& gh =
+        hy_engine.engine<graph::HybridStore>().graph();
+    bench::IncrementalCompute pr_as(bench::Algo::kPageRank, ga);
+    bench::IncrementalCompute pr_hy(bench::Algo::kPageRank, gh);
     auto gen_as = ds.make_generator();
     auto gen_hy = ds.make_generator();
     for (std::uint64_t k = 1; k <= wl.num_batches; ++k) {
@@ -271,24 +273,18 @@ run_equivalence(const Workload& wl)
         (void)as_engine.ingest(ba);
         (void)hy_engine.ingest(bh);
         if (as_engine.compute_due() && hy_engine.compute_due()) {
-            const auto wa = as_engine.take_pending_work();
-            const auto wh = hy_engine.take_pending_work();
-            (void)pr_as.on_batch(as_engine.graph(), wa.affected);
-            (void)pr_hy.on_batch(
-                hy_engine.engine<graph::HybridStore>().graph(), wh.affected);
+            (void)pr_as.round(ga, as_engine.take_pending_work());
+            (void)pr_hy.round(gh, hy_engine.take_pending_work());
         }
     }
 
-    const graph::AdjacencyList& ga = as_engine.graph();
-    const graph::HybridStore& gh =
-        hy_engine.engine<graph::HybridStore>().graph();
     eq.num_edges_as = ga.num_edges();
     eq.num_edges_hybrid = gh.num_edges();
     eq.edges_mismatched = count_edge_mismatches(ga, gh);
     eq.topology_equal = gh.same_topology(ga);
 
-    const auto& ra = pr_as.ranks();
-    const auto& rh = pr_hy.ranks();
+    const auto& ra = pr_as.pagerank().ranks();
+    const auto& rh = pr_hy.pagerank().ranks();
     const std::size_t n = std::max(ra.size(), rh.size());
     for (std::size_t v = 0; v < n; ++v) {
         const double x = v < ra.size() ? ra[v] : 0.0;

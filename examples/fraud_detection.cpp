@@ -15,9 +15,10 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "analytics/sssp.h"
+#include "analytics/incremental/sssp.h"
 #include "core/engine.h"
 #include "gen/edge_stream.h"
+#include "graph/dirty_set_view.h"
 
 int
 main(int argc, char** argv)
@@ -49,7 +50,8 @@ main(int argc, char** argv)
     config.policy = core::UpdatePolicy::kAbrUsc;
     config.oca.enabled = false;
     core::RealTimeEngine engine(config, model.num_vertices);
-    analytics::IncrementalSssp proximity(kFlaggedAccount);
+    analytics::incremental::Sssp proximity(kFlaggedAccount);
+    proximity.full_rerun(engine.graph()); // settle on the empty graph
 
     constexpr std::size_t kBatchSize = 500; // ~sub-second reaction
     std::size_t alerts = 0;
@@ -62,7 +64,9 @@ main(int argc, char** argv)
         engine.ingest(batch);
 
         const core::PendingWork work = engine.take_pending_work();
-        proximity.on_batch(engine.graph(), work.inserted, work.deleted);
+        proximity.delta_update(
+            graph::DirtySetView(engine.graph(), work.affected), work.inserted,
+            work.deleted);
 
         // Alert newly-close accounts (affected vertices only: the
         // incremental model guarantees distances elsewhere are unchanged).

@@ -4,13 +4,14 @@
  *
  * Streams a synthetic R-MAT graph into a @ref igs::core::RealTimeEngine
  * (real threads, real locks — the production frontend), lets ABR pick the
- * update path per batch, and keeps PageRank fresh incrementally.
+ * update path per batch, and keeps PageRank fresh incrementally: the
+ * attached analytics bundle runs one compute round per published epoch.
  *
  *   $ ./quickstart
  */
 #include <cstdio>
 
-#include "analytics/pagerank.h"
+#include "analytics/incremental/analytics.h"
 #include "core/engine.h"
 #include "gen/rmat.h"
 
@@ -29,10 +30,14 @@ main()
 
     gen::RmatGenerator rmat(gen::RmatParams{.scale = 14, .seed = 42});
     core::RealTimeEngine engine(config, rmat.num_vertices());
-    analytics::IncrementalPageRank pagerank;
+    analytics::incremental::IncrementalConfig pagerank_only;
+    pagerank_only.run_sssp = false;
+    pagerank_only.run_bfs = false;
+    analytics::incremental::IncrementalAnalytics bundle(pagerank_only);
+    analytics::incremental::attach(engine, bundle);
 
-    // 2. Stream batches; compute after each (or after two, when OCA
-    //    aggregates overlapping batches).
+    // 2. Stream batches; the engine runs a compute round after each (or
+    //    after two, when OCA aggregates overlapping batches).
     constexpr std::size_t kBatchSize = 10000;
     constexpr std::uint64_t kBatches = 12;
     for (std::uint64_t id = 1; id <= kBatches; ++id) {
@@ -52,17 +57,15 @@ main()
         }
         std::printf(")\n");
 
-        if (engine.compute_due()) {
-            const core::PendingWork work = engine.take_pending_work();
-            pagerank.on_batch(engine.graph(), work.affected);
-        } else {
+        if (!engine.compute_due()) {
             std::printf("          compute deferred (OCA overlap %.2f)\n",
                         report.overlap);
         }
     }
 
-    // 3. Read results off the latest snapshot.
-    const auto& ranks = pagerank.ranks();
+    // 3. Run the round for any deferred tail, then read the results.
+    engine.flush_pipeline();
+    const auto& ranks = bundle.pagerank().ranks();
     VertexId best = 0;
     for (VertexId v = 1; v < ranks.size(); ++v) {
         if (ranks[v] > ranks[best]) {

@@ -15,7 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "analytics/pagerank.h"
+#include "analytics/incremental/analytics.h"
 #include "core/engine.h"
 #include "gen/datasets.h"
 
@@ -33,7 +33,11 @@ main(int argc, char** argv)
     config.policy = core::UpdatePolicy::kAbrUscHau;
     config.oca.enabled = true;
     core::RealTimeEngine engine(config, ds.model.num_vertices);
-    analytics::IncrementalPageRank trending;
+    analytics::incremental::IncrementalConfig pagerank_only;
+    pagerank_only.run_sssp = false;
+    pagerank_only.run_bfs = false;
+    analytics::incremental::IncrementalAnalytics trending(pagerank_only);
+    analytics::incremental::attach(engine, trending);
 
     constexpr std::size_t kBatchSize = 50000;
     std::printf("%-6s %-10s %-6s %-8s %-8s %s\n", "batch", "path", "CAD",
@@ -58,15 +62,11 @@ main(int argc, char** argv)
                     report.overlap,
                     compute_now ? "now" : "deferred",
                     report.wall_seconds * 1e3);
-
-        if (compute_now) {
-            const core::PendingWork work = engine.take_pending_work();
-            trending.on_batch(engine.graph(), work.affected);
-        }
     }
 
-    // Final trending list: top 5 by rank.
-    const auto& ranks = trending.ranks();
+    // Final trending list: top 5 by rank, after any deferred round.
+    engine.flush_pipeline();
+    const auto& ranks = trending.pagerank().ranks();
     std::vector<VertexId> order(ranks.size());
     for (VertexId v = 0; v < order.size(); ++v) {
         order[v] = v;

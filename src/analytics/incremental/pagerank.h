@@ -1,14 +1,15 @@
 /**
  * @file
- * Memoized PageRank with dirty-set-seeded delta propagation.
+ * Memoized PageRank with dirty-set-seeded delta propagation — the
+ * repository's one incremental PageRank (engine, figure benches,
+ * examples).
  *
- * Unlike the batch-local analytics::IncrementalPageRank (which seeds
- * only the batch-affected vertices), this kernel persists a @ref
- * RankState across epochs and seeds each delta round with the epoch's
- * dirty set *and its out-neighborhood*: a dirty vertex's out-degree may
- * have changed, which alters the contribution every one of its
- * out-neighbors pulls — missing those is the classic seeding gap that
- * makes affected-only propagation drift from the from-scratch fixpoint.
+ * The kernel persists a @ref RankState across epochs and seeds each
+ * delta round with the epoch's dirty set *and its out-neighborhood*: a
+ * dirty vertex's out-degree may have changed, which alters the
+ * contribution every one of its out-neighbors pulls — missing those is
+ * the classic seeding gap that makes affected-only propagation drift
+ * from the from-scratch fixpoint.
  * With the widened seed the pull-based propagation converges to the
  * same fixpoint static_pagerank converges to, up to the residual
  * tolerance (the randomized equivalence harness in

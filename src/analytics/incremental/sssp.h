@@ -1,14 +1,14 @@
 /**
  * @file
- * Memoized SSSP with deletion-safe tag-and-correct delta rounds.
+ * Memoized SSSP with deletion-safe tag-and-correct delta rounds — the
+ * repository's one incremental SSSP (engine, figure benches, examples).
  *
- * Epoch-persistent variant of analytics::IncrementalSssp: the settled
- * distance vector survives across epochs in a @ref DistState and each
- * delta round applies KickStarter-style trimming — tag the dependence
- * region of every distance-increasing modification (deletions, and
- * duplicate insertions, which *accumulate* weight under the engine's
- * update semantics), reset it to infinity, and re-relax from the
- * region's in-boundary plus the source.  Distance-decreasing
+ * The settled distance vector survives across epochs in a @ref
+ * DistState and each delta round applies KickStarter-style trimming —
+ * tag the dependence region of every distance-increasing modification
+ * (deletions, and duplicate insertions, which *accumulate* weight under
+ * the engine's update semantics), reset it to infinity, and re-relax
+ * from the region's in-boundary plus the source.  Distance-decreasing
  * modifications (fresh insertions) relax outward directly.
  *
  * Relaxation runs to fixpoint, so the settled distances equal the

@@ -77,15 +77,6 @@ struct RankState {
     FrontierBitmap in_frontier;
     /** A full rerun has populated `rank` for the current vertex space. */
     bool warm = false;
-
-    void
-    ensure(std::size_t n, double init)
-    {
-        if (rank.size() < n) {
-            rank.resize(n, init);
-        }
-        in_frontier.ensure(n);
-    }
 };
 
 /** Memoized SSSP state: settled distances + trim/frontier scratch. */

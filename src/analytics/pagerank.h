@@ -1,11 +1,11 @@
 /**
  * @file
- * PageRank: static (GAP-style pull iteration to convergence) and
- * incremental (affected-vertex propagation, the Kineograph/Vora model
- * SAGA-Bench uses).
+ * PageRank parameters and static PageRank (GAP-style pull iteration to
+ * convergence) — the from-scratch oracle the incremental kernel
+ * (analytics/incremental/pagerank.h) is checked against.
  *
- * Both operate on any store satisfying the graph::GraphReadPath concept —
- * a live AdjacencyList / IndexedAdjacency, or the pipeline's immutable
+ * Operates on any store satisfying the graph::GraphReadPath concept — a
+ * live AdjacencyList / IndexedAdjacency, or the pipeline's immutable
  * SnapshotView.  The concept constraint documents (and enforces) that the
  * compute phase only touches the read path: an algorithm cannot silently
  * grow a dependency on mutation while a snapshot is in flight.
@@ -82,115 +82,6 @@ static_pagerank(const Graph& g, const PageRankParams& params = {},
     }
     return rank;
 }
-
-/**
- * Incremental PageRank: per-vertex ranks persist across batches; each
- * compute round seeds the frontier with the batch-affected vertices and
- * propagates rank changes outward until deltas fall below tolerance.
- *
- * This is the standard streaming approximation: vertices far from any
- * modification keep their stale (already converged) ranks.
- */
-class IncrementalPageRank {
-  public:
-    explicit IncrementalPageRank(const PageRankParams& params = {})
-        : params_(params)
-    {
-    }
-
-    /** Current rank estimates (resized lazily). */
-    const std::vector<double>& ranks() const { return rank_; }
-
-    /**
-     * Run one compute round over `g`, seeding from `affected` (vertices
-     * touched by the just-ingested batch(es)).  Returns counted work.
-     */
-    template <typename Graph>
-        requires graph::GraphReadPath<Graph>
-    ComputeStats
-    on_batch(const Graph& g, const std::vector<VertexId>& affected,
-             ComputeMeter* external_meter = nullptr)
-    {
-        ComputeMeter local;
-        ComputeMeter* meter = external_meter != nullptr ? external_meter
-                                                        : &local;
-        const std::size_t n = g.num_vertices();
-        ensure_rank_capacity(n);
-        const double base = (1.0 - params_.damping) / static_cast<double>(n);
-        const ComputeStats before = meter->stats();
-        meter->round();
-
-        std::vector<VertexId> frontier;
-        frontier.reserve(affected.size());
-        for (VertexId v : affected) {
-            if (!in_frontier_[v]) {
-                in_frontier_[v] = true;
-                frontier.push_back(v);
-            }
-        }
-
-        for (std::uint32_t it = 0;
-             it < params_.max_iterations && !frontier.empty(); ++it) {
-            meter->iteration();
-            std::vector<VertexId> next_frontier;
-            for (VertexId v : frontier) {
-                in_frontier_[v] = false;
-            }
-            for (VertexId v : frontier) {
-                meter->activate();
-                double sum = 0.0;
-                for (const Neighbor& u : g.edges(v, Direction::kIn)) {
-                    meter->traverse();
-                    const auto deg = g.degree(u.id, Direction::kOut);
-                    if (deg > 0) {
-                        sum += rank_[u.id] / static_cast<double>(deg);
-                    }
-                }
-                const double new_rank = base + params_.damping * sum;
-                if (std::abs(new_rank - rank_[v]) > params_.tolerance) {
-                    rank_[v] = new_rank;
-                    for (const Neighbor& w : g.edges(v, Direction::kOut)) {
-                        meter->traverse();
-                        if (!in_frontier_[w.id]) {
-                            in_frontier_[w.id] = true;
-                            next_frontier.push_back(w.id);
-                        }
-                    }
-                } else {
-                    rank_[v] = new_rank;
-                }
-            }
-            frontier.swap(next_frontier);
-        }
-        for (VertexId v : frontier) {
-            in_frontier_[v] = false; // iteration cap hit; clear residue
-        }
-
-        ComputeStats delta = meter->stats();
-        delta.activations -= before.activations;
-        delta.traversals -= before.traversals;
-        delta.rounds -= before.rounds;
-        delta.iterations -= before.iterations;
-        delta.seeds -= before.seeds;
-        return delta;
-    }
-
-  private:
-    void
-    ensure_rank_capacity(std::size_t n)
-    {
-        if (rank_.size() < n) {
-            const double init =
-                n == 0 ? 0.0 : 1.0 / static_cast<double>(n);
-            rank_.resize(n, init);
-            in_frontier_.resize(n, false);
-        }
-    }
-
-    PageRankParams params_;
-    std::vector<double> rank_;
-    std::vector<bool> in_frontier_;
-};
 
 } // namespace igs::analytics
 

@@ -1,14 +1,12 @@
 /**
  * @file
- * Extension algorithms: BFS (hop distance) and connected components
- * (label propagation over the undirected view).  Not part of the paper's
- * four evaluated algorithms; used by examples and as additional compute
- * workloads.
+ * Static BFS hop distances — an extension algorithm, not one of the
+ * paper's evaluated four, and the from-scratch oracle the incremental
+ * kernel (analytics/incremental/bfs.h) is checked against.
  */
 #ifndef IGS_ANALYTICS_TRAVERSAL_H
 #define IGS_ANALYTICS_TRAVERSAL_H
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -58,52 +56,6 @@ bfs_distances(const Graph& g, VertexId source, ComputeMeter* meter = nullptr)
         frontier.swap(next);
     }
     return dist;
-}
-
-/**
- * Connected components over the undirected view (out- plus in-edges),
- * by label propagation; returns the component label per vertex (the
- * minimum vertex id in the component).
- */
-template <typename Graph>
-    requires graph::GraphReadPath<Graph>
-std::vector<VertexId>
-connected_components(const Graph& g, ComputeMeter* meter = nullptr)
-{
-    const std::size_t n = g.num_vertices();
-    std::vector<VertexId> label(n);
-    for (VertexId v = 0; v < n; ++v) {
-        label[v] = v;
-    }
-    if (meter != nullptr) {
-        meter->round();
-    }
-    bool changed = true;
-    while (changed) {
-        if (meter != nullptr) {
-            meter->iteration();
-        }
-        changed = false;
-        for (VertexId v = 0; v < n; ++v) {
-            if (meter != nullptr) {
-                meter->activate();
-            }
-            VertexId best = label[v];
-            for (Direction dir : {Direction::kOut, Direction::kIn}) {
-                for (const Neighbor& e : g.edges(v, dir)) {
-                    if (meter != nullptr) {
-                        meter->traverse();
-                    }
-                    best = std::min(best, label[e.id]);
-                }
-            }
-            if (best < label[v]) {
-                label[v] = best;
-                changed = true;
-            }
-        }
-    }
-    return label;
 }
 
 } // namespace igs::analytics

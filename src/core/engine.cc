@@ -1,7 +1,7 @@
 #include "core/engine.h"
 
-#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "common/check.h"
 #include "common/telemetry.h"
@@ -408,24 +408,18 @@ template class BasicRealTimeEngine<graph::HybridStore>;
 
 namespace {
 
-/** Forwarding visitor; the monostate alternative only exists during
- *  AnyRealTimeEngine construction and is never observable afterwards. */
-template <typename Variant, typename Fn>
-decltype(auto)
-with_engine(Variant& v, Fn&& fn)
+using EngineVariant = std::variant<RealTimeEngine, HybridRealTimeEngine>;
+
+EngineVariant
+make_engine(const EngineConfig& config, std::size_t num_vertices,
+            ThreadPool& pool)
 {
-    return std::visit(
-        [&](auto& e) -> decltype(auto) {
-            if constexpr (std::is_same_v<std::decay_t<decltype(e)>,
-                                         std::monostate>) {
-                IGS_CHECK_MSG(false, "AnyRealTimeEngine not constructed");
-                // Unreachable; satisfies the common-return-type deduction.
-                return fn(*static_cast<RealTimeEngine*>(nullptr));
-            } else {
-                return fn(e);
-            }
-        },
-        v);
+    if (config.graph_backend == GraphBackend::kHybrid) {
+        return EngineVariant(std::in_place_type<HybridRealTimeEngine>,
+                             config, num_vertices, pool);
+    }
+    return EngineVariant(std::in_place_type<RealTimeEngine>, config,
+                         num_vertices, pool);
 }
 
 } // namespace
@@ -433,78 +427,73 @@ with_engine(Variant& v, Fn&& fn)
 AnyRealTimeEngine::AnyRealTimeEngine(const EngineConfig& config,
                                      std::size_t num_vertices,
                                      ThreadPool& pool)
-    : backend_(config.graph_backend)
+    : engine_(make_engine(config, num_vertices, pool)),
+      backend_(config.graph_backend)
 {
-    // The engines are immovable (atomics, a joinable thread), so the
-    // variant alternative is constructed in place.
-    if (backend_ == GraphBackend::kHybrid) {
-        engine_.emplace<HybridRealTimeEngine>(config, num_vertices, pool);
-    } else {
-        engine_.emplace<RealTimeEngine>(config, num_vertices, pool);
-    }
 }
 
 BatchReport
 AnyRealTimeEngine::ingest(const stream::EdgeBatch& batch)
 {
-    return with_engine(engine_, [&](auto& e) { return e.ingest(batch); });
+    return std::visit([&](auto& e) { return e.ingest(batch); }, engine_);
 }
 
 bool
 AnyRealTimeEngine::compute_due() const
 {
-    return with_engine(engine_, [](const auto& e) { return e.compute_due(); });
+    return std::visit([](const auto& e) { return e.compute_due(); }, engine_);
 }
 
 PendingWork
 AnyRealTimeEngine::take_pending_work()
 {
-    return with_engine(engine_,
-                       [](auto& e) { return e.take_pending_work(); });
+    return std::visit([](auto& e) { return e.take_pending_work(); }, engine_);
 }
 
 void
 AnyRealTimeEngine::set_compute(ComputeFn fn)
 {
-    with_engine(engine_, [&](auto& e) { e.set_compute(std::move(fn)); });
+    std::visit([&](auto& e) { e.set_compute(std::move(fn)); }, engine_);
 }
 
 void
 AnyRealTimeEngine::flush_pipeline()
 {
-    with_engine(engine_, [](auto& e) { e.flush_pipeline(); });
+    std::visit([](auto& e) { e.flush_pipeline(); }, engine_);
 }
 
 graph::SnapshotView
 AnyRealTimeEngine::snapshot() const
 {
-    return with_engine(engine_, [](const auto& e) { return e.snapshot(); });
+    return std::visit([](const auto& e) { return e.snapshot(); }, engine_);
 }
 
 const RenumberStats&
 AnyRealTimeEngine::renumber_stats() const
 {
-    return with_engine(engine_,
-                       [](const auto& e) -> const RenumberStats& {
-                           return e.renumber_stats();
-                       });
+    return std::visit(
+        [](const auto& e) -> const RenumberStats& {
+            return e.renumber_stats();
+        },
+        engine_);
 }
 
 const PipelineStats&
 AnyRealTimeEngine::pipeline_stats() const
 {
-    return with_engine(engine_,
-                       [](const auto& e) -> const PipelineStats& {
-                           return e.pipeline_stats();
-                       });
+    return std::visit(
+        [](const auto& e) -> const PipelineStats& {
+            return e.pipeline_stats();
+        },
+        engine_);
 }
 
 const EngineConfig&
 AnyRealTimeEngine::config() const
 {
-    return with_engine(engine_, [](const auto& e) -> const EngineConfig& {
-        return e.config();
-    });
+    return std::visit(
+        [](const auto& e) -> const EngineConfig& { return e.config(); },
+        engine_);
 }
 
 } // namespace igs::core

@@ -363,10 +363,9 @@ class AnyRealTimeEngine {
     }
 
   private:
-    /** Monostate only during construction: the engines are neither
-     *  movable nor copyable, so the variant is filled via emplace. */
-    std::variant<std::monostate, RealTimeEngine, HybridRealTimeEngine>
-        engine_;
+    /** The engines are neither movable nor copyable: the variant is
+     *  initialized from a prvalue, constructing the alternative in place. */
+    std::variant<RealTimeEngine, HybridRealTimeEngine> engine_;
     GraphBackend backend_;
 };
 

@@ -181,9 +181,8 @@ DegreeAwareHash::ensure_vertices(std::size_t n)
 ApplyResult
 DegreeAwareHash::apply_insert(VertexId v, Neighbor nbr, Direction dir)
 {
-    const VertexId p = map_.to_physical(v);
-    IGS_DCHECK(p < out_.size());
-    auto& set = dir == Direction::kOut ? out_[p] : in_[p];
+    IGS_DCHECK(v < out_.size());
+    auto& set = dir == Direction::kOut ? out_[v] : in_[v];
     // igs-lint: allow(hot-path-alloc) -- streamed insert is the workload
     const ApplyResult r = set.insert(nbr, tuning_.dah_hash_threshold);
     if (!r.found && dir == Direction::kOut) {
@@ -195,32 +194,13 @@ DegreeAwareHash::apply_insert(VertexId v, Neighbor nbr, Direction dir)
 ApplyResult
 DegreeAwareHash::apply_remove(VertexId v, VertexId nbr_id, Direction dir)
 {
-    const VertexId p = map_.to_physical(v);
-    IGS_DCHECK(p < out_.size());
-    auto& set = dir == Direction::kOut ? out_[p] : in_[p];
+    IGS_DCHECK(v < out_.size());
+    auto& set = dir == Direction::kOut ? out_[v] : in_[v];
     const ApplyResult r = set.remove(nbr_id);
     if (r.found && dir == Direction::kOut) {
         num_edges_.fetch_sub(1, std::memory_order_relaxed);
     }
     return r;
-}
-
-void
-DegreeAwareHash::apply_renumber(std::span<const VertexId> l2p)
-{
-    IGS_CHECK_MSG(l2p.size() == out_.size(),
-                  "apply_renumber: assignment must cover the vertex space");
-    const std::size_t n = out_.size();
-    std::vector<DahEdgeSet> new_out(n);
-    std::vector<DahEdgeSet> new_in(n);
-    for (std::size_t l = 0; l < n; ++l) {
-        const VertexId p_old = map_.to_physical(static_cast<VertexId>(l));
-        new_out[l2p[l]] = std::move(out_[p_old]);
-        new_in[l2p[l]] = std::move(in_[p_old]);
-    }
-    out_ = std::move(new_out);
-    in_ = std::move(new_in);
-    map_.rebind(l2p);
 }
 
 } // namespace igs::graph

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <iterator>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -26,7 +25,6 @@
 #include "common/types.h"
 #include "graph/adjacency_list.h"
 #include "graph/store_tuning.h"
-#include "graph/vertex_id_map.h"
 
 namespace igs::graph {
 
@@ -210,32 +208,6 @@ class DegreeAwareHash {
     void set_tuning(const StoreTuning& tuning) { tuning_ = tuning; }
     const StoreTuning& tuning() const { return tuning_; }
 
-    /**
-     * Movable (single-threaded only — not during a parallel update).
-     * Mirrors AdjacencyList/HybridStore: the moved-from store is left
-     * empty and reusable — `num_edges_` transfers with an exchange so
-     * the source reads 0, and its bookkeeping is cleared to match.
-     */
-    DegreeAwareHash(DegreeAwareHash&& other) noexcept
-        : out_(std::move(other.out_)), in_(std::move(other.in_)),
-          out_locks_(std::move(other.out_locks_)),
-          in_locks_(std::move(other.in_locks_)),
-          latest_bid_(std::move(other.latest_bid_)),
-          latest_bid_size_(other.latest_bid_size_), tuning_(other.tuning_),
-          map_(std::move(other.map_)),
-          num_edges_(other.num_edges_.exchange(0, std::memory_order_relaxed))
-    {
-        other.latest_bid_size_ = 0;
-        other.map_.reset();
-    }
-
-    /**
-     * Move-assignment is deliberately deleted, matching the other two
-     * backends: the atomic member suppresses the implicit version, so
-     * `a = move(b)` silently failed to compile — make it explicit.
-     */
-    DegreeAwareHash& operator=(DegreeAwareHash&&) = delete;
-
     std::size_t num_vertices() const { return out_.size(); }
     EdgeId num_edges() const { return num_edges_; }
 
@@ -245,14 +217,10 @@ class DegreeAwareHash {
     ApplyResult apply_insert(VertexId v, Neighbor nbr, Direction dir);
     ApplyResult apply_remove(VertexId v, VertexId nbr_id, Direction dir);
 
-    /** Lock index follows row placement (physical); locks are stateless
-     *  between batches so a renumber never permutes them. */
     Spinlock&
     lock(VertexId v, Direction dir)
     {
-        const VertexId p = map_.to_physical(v);
-        return dir == Direction::kOut ? out_locks_[p]
-                                      : in_locks_[p];
+        return dir == Direction::kOut ? out_locks_[v] : in_locks_[v];
     }
 
     std::uint32_t
@@ -264,8 +232,7 @@ class DegreeAwareHash {
     const DahEdgeSet&
     edge_set(VertexId v, Direction dir) const
     {
-        const VertexId p = map_.to_physical(v);
-        return dir == Direction::kOut ? out_[p] : in_[p];
+        return dir == Direction::kOut ? out_[v] : in_[v];
     }
 
     /**
@@ -301,18 +268,6 @@ class DegreeAwareHash {
         return latest_bid_[v].exchange(bid, std::memory_order_relaxed);
     }
 
-    /**
-     * Re-place edge sets under a new logical->physical assignment — see
-     * AdjacencyList::apply_renumber.  Edge-set payloads (logical neighbor
-     * ids, including hash-table contents) travel whole with their set, so
-     * no rehashing happens.  Declared backend capability
-     * (tools/layers.toml [semantic.backends.DegreeAwareHash]).
-     */
-    void apply_renumber(std::span<const VertexId> l2p);
-
-    /** The logical/physical id map (identity until `apply_renumber`). */
-    const VertexIdMap& id_map() const { return map_; }
-
   private:
     std::vector<DahEdgeSet> out_;
     std::vector<DahEdgeSet> in_;
@@ -321,7 +276,6 @@ class DegreeAwareHash {
     std::unique_ptr<std::atomic<std::uint64_t>[]> latest_bid_;
     std::size_t latest_bid_size_ = 0;
     StoreTuning tuning_;
-    VertexIdMap map_;
     std::atomic<EdgeId> num_edges_{0};
 };
 

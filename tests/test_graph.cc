@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the dynamic graph structures: AdjacencyList, DegreeAwareHash,
- * IndexedAdjacency, and the CSR snapshot — including randomized
- * cross-structure equivalence properties.
+ * Tests for the dynamic graph structures: AdjacencyList, DegreeAwareHash
+ * and IndexedAdjacency — including randomized cross-structure
+ * equivalence properties.
  */
 #include <algorithm>
 #include <map>
@@ -13,7 +13,6 @@
 
 #include "common/random.h"
 #include "graph/adjacency_list.h"
-#include "graph/csr_snapshot.h"
 #include "graph/degree_aware_hash.h"
 #include "graph/indexed_adjacency.h"
 
@@ -237,56 +236,13 @@ TEST(IndexedAdjacency, RemoveFixesMovedIndexEntry)
     EXPECT_EQ(g.degree(0, Direction::kOut), 2u);
 }
 
-// ------------------------------------------------------------- snapshot
-TEST(CsrSnapshot, BuildsSortedRows)
-{
-    AdjacencyList g(4);
-    g.apply_insert(0, {3, 1.0f}, Direction::kOut);
-    g.apply_insert(0, {1, 2.0f}, Direction::kOut);
-    g.apply_insert(2, {0, 1.0f}, Direction::kOut);
-    const auto csr = CsrSnapshot::build(g, Direction::kOut);
-    EXPECT_EQ(csr.num_vertices(), 4u);
-    EXPECT_EQ(csr.num_edges(), 3u);
-    EXPECT_EQ(csr.degree(0), 2u);
-    EXPECT_EQ(csr.degree(1), 0u);
-    const auto row0 = csr.neighbors(0);
-    ASSERT_EQ(row0.size(), 2u);
-    EXPECT_EQ(row0[0].id, 1u);
-    EXPECT_EQ(row0[1].id, 3u);
-    EXPECT_FLOAT_EQ(row0[0].weight, 2.0f);
-}
-
-TEST(CsrSnapshot, EmptyGraph)
-{
-    AdjacencyList g(0);
-    const auto csr = CsrSnapshot::build(g, Direction::kIn);
-    EXPECT_EQ(csr.num_vertices(), 0u);
-    EXPECT_EQ(csr.num_edges(), 0u);
-}
-
 } // namespace
 } // namespace igs::graph
 
-// Additional coverage appended after the first green run: cross-structure
-// CSR building, growth invariants, and argument-validation death tests.
+// Additional coverage appended after the first green run: growth
+// invariants and argument-validation death tests.
 namespace igs::graph {
 namespace {
-
-TEST(CsrSnapshot, BuildsFromDegreeAwareHash)
-{
-    DegreeAwareHash g(5);
-    for (VertexId t = 0; t < 40; ++t) {
-        g.apply_insert(1, {(t * 7) % 200 + 10, 1.0f}, Direction::kOut);
-    }
-    const auto csr = CsrSnapshot::build(g, Direction::kOut);
-    EXPECT_EQ(csr.num_vertices(), 5u);
-    EXPECT_EQ(csr.degree(1), g.degree(1, Direction::kOut));
-    // Rows are sorted.
-    const auto row = csr.neighbors(1);
-    for (std::size_t i = 1; i < row.size(); ++i) {
-        EXPECT_LT(row[i - 1].id, row[i].id);
-    }
-}
 
 TEST(IndexedAdjacency, EnsureVerticesPreservesBidsAndEdges)
 {

@@ -6,11 +6,13 @@
  */
 #include <gtest/gtest.h>
 
-#include "analytics/pagerank.h"
+#include "analytics/incremental/pagerank.h"
+#include "analytics/incremental/sssp.h"
 #include "analytics/sssp.h"
 #include "core/engine.h"
 #include "sim/sim_engine.h"
 #include "gen/datasets.h"
+#include "graph/dirty_set_view.h"
 
 namespace igs {
 namespace {
@@ -20,8 +22,9 @@ using sim::SimEngine;
 using core::UpdatePolicy;
 
 /** Drive `batches` batches of `batch_size` from a registry dataset
- *  through an engine with incremental PR, returning total compute work
- *  and the final ranks. */
+ *  through an engine with incremental PR (settled on the empty graph,
+ *  then one metered delta round per hand-off), returning total compute
+ *  work and the final ranks. */
 struct PipelineResult {
     analytics::ComputeStats compute;
     std::vector<double> ranks;
@@ -41,10 +44,19 @@ run_pipeline(const std::string& dataset, UpdatePolicy policy, bool oca,
     cfg.oca.threshold = oca_threshold;
     SimEngine engine(cfg, sim::MachineParams{}, sim::SwCostParams{},
                      sim::HauCostParams{}, ds.model.num_vertices);
-    analytics::IncrementalPageRank pr;
+    analytics::incremental::PageRank pr;
+    pr.full_rerun(engine.graph());
     auto genr = ds.make_generator();
 
     PipelineResult out;
+    const auto round = [&](const core::PendingWork& work) {
+        analytics::ComputeMeter meter;
+        meter.round();
+        pr.delta_propagate(graph::DirtySetView(engine.graph(), work.affected),
+                           &meter);
+        out.compute += meter.stats();
+        ++out.compute_rounds_launched;
+    };
     for (std::uint64_t k = 1; k <= batches; ++k) {
         stream::EdgeBatch batch;
         batch.id = k;
@@ -52,17 +64,14 @@ run_pipeline(const std::string& dataset, UpdatePolicy policy, bool oca,
         const auto report = engine.ingest(batch);
         out.update_cycles += report.update.cycles;
         if (engine.compute_due()) {
-            const auto work = engine.take_pending_work();
-            out.compute += pr.on_batch(engine.graph(), work.affected);
-            ++out.compute_rounds_launched;
+            round(engine.take_pending_work());
         }
     }
     // Flush any trailing deferred round (stream end).
     if (!engine.compute_due()) {
         const auto work = engine.take_pending_work();
         if (!work.affected.empty()) {
-            out.compute += pr.on_batch(engine.graph(), work.affected);
-            ++out.compute_rounds_launched;
+            round(work);
         }
     }
     out.ranks = pr.ranks();
@@ -162,7 +171,8 @@ TEST(Integration, IncrementalSsspSurvivesFullPipeline)
     m.delete_fraction = 0.1;
     m.weighted = true;
     gen::EdgeStreamGenerator genr(m);
-    analytics::IncrementalSssp sssp(0);
+    analytics::incremental::Sssp sssp(0);
+    sssp.full_rerun(engine.graph());
 
     for (std::uint64_t k = 1; k <= 4; ++k) {
         stream::EdgeBatch batch;
@@ -170,15 +180,10 @@ TEST(Integration, IncrementalSsspSurvivesFullPipeline)
         batch.set_edges(genr.take(3000));
         engine.ingest(batch);
         const auto work = engine.take_pending_work();
-        sssp.on_batch(engine.graph(), work.inserted, work.deleted);
-        const auto expected = analytics::static_sssp(engine.graph(), 0);
-        for (std::size_t v = 0; v < expected.size(); ++v) {
-            if (std::isinf(expected[v])) {
-                ASSERT_TRUE(std::isinf(sssp.distances()[v]));
-            } else {
-                ASSERT_NEAR(sssp.distances()[v], expected[v], 1e-3);
-            }
-        }
+        sssp.delta_update(graph::DirtySetView(engine.graph(), work.affected),
+                          work.inserted, work.deleted);
+        ASSERT_EQ(sssp.distances(), analytics::static_sssp(engine.graph(), 0))
+            << "batch " << k;
     }
 }
 

@@ -20,7 +20,6 @@
 
 #include "analytics/compute_meter.h"
 #include "analytics/incremental/analytics.h"
-#include "analytics/pagerank.h"
 #include "analytics/sssp.h"
 #include "analytics/traversal.h"
 #include "common/mutex.h"
@@ -29,6 +28,7 @@
 #include "core/engine.h"
 #include "gen/edge_stream.h"
 #include "graph/adjacency_list.h"
+#include "graph/dirty_set_view.h"
 #include "graph/graph_store.h"
 #include "graph/hybrid_store.h"
 #include "graph/indexed_adjacency.h"
@@ -460,17 +460,26 @@ TEST(RealTimeEnginePipeline, DepthOneMatchesUnpipelinedEngineExactly)
 }
 
 // ------------------------------------------------- depth-2 equivalence
+/** The incremental kernels, settled on the engine's initial empty graph
+ *  and then run as one delta round per published epoch. */
 struct PipelineAnalytics {
-    analytics::IncrementalPageRank pagerank;
-    analytics::IncrementalSssp sssp{0};
+    analytics::incremental::PageRank pagerank;
+    analytics::incremental::Sssp sssp{0};
     analytics::ComputeMeter meter;
+
+    explicit PipelineAnalytics(const graph::AdjacencyList& initial)
+    {
+        pagerank.full_rerun(initial);
+        sssp.full_rerun(initial);
+    }
 
     void
     round(const graph::SnapshotView& snap, const core::PendingWork& work)
     {
         meter.round_on(work.epoch);
-        pagerank.on_batch(snap, work.affected, &meter);
-        sssp.on_batch(snap, work.inserted, work.deleted, &meter);
+        const graph::DirtySetView view(snap, work.affected);
+        pagerank.delta_propagate(view, &meter);
+        sssp.delta_update(view, work.inserted, work.deleted, &meter);
     }
 };
 
@@ -482,12 +491,12 @@ TEST(RealTimeEnginePipeline, DepthTwoResultsEqualSerialRun)
     // order-sensitive.  With the order pinned, any divergence below is
     // attributable to the pipeline itself — which must introduce none.
     ThreadPool pool(1);
-    PipelineAnalytics serial;
-    PipelineAnalytics overlapped;
     const auto serial_cfg = pipeline_config(core::UpdatePolicy::kAbrUsc, 1);
     const auto piped_cfg = pipeline_config(core::UpdatePolicy::kAbrUsc, 2);
     core::RealTimeEngine serial_engine(serial_cfg, 2000, pool);
     core::RealTimeEngine piped_engine(piped_cfg, 2000, pool);
+    PipelineAnalytics serial(serial_engine.graph());
+    PipelineAnalytics overlapped(piped_engine.graph());
     serial_engine.set_compute(
         [&](const graph::SnapshotView& s, const core::PendingWork& w) {
             serial.round(s, w);

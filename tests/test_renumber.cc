@@ -3,10 +3,11 @@
  * Tests for the vertex-id indirection layer and input-aware locality
  * renumbering (DESIGN.md §16): VertexIdMap semantics, planner
  * determinism, the LocalityMonitor's skew gate / warmup / cooldown /
- * re-fire hysteresis, permutation invariance of every backend's logical
- * reads under apply_renumber, engine-level trigger behavior (hub-heavy
- * fires, uniform never does, renumber-off is bit-identical), and
- * incremental PageRank/SSSP/BFS state surviving renumbers mid-stream.
+ * re-fire hysteresis, permutation invariance of both engine backends'
+ * logical reads under apply_renumber, engine-level trigger behavior
+ * (hub-heavy fires, uniform never does, renumber-off is bit-identical),
+ * and incremental PageRank/SSSP/BFS state surviving renumbers
+ * mid-stream.
  *
  * Every suite name contains "Renumber": the tsan-renumber CI leg runs
  * exactly this file via `ctest -R Renumber`.
@@ -28,7 +29,6 @@
 #include "core/engine.h"
 #include "gen/edge_stream.h"
 #include "graph/adjacency_list.h"
-#include "graph/degree_aware_hash.h"
 #include "graph/hybrid_store.h"
 #include "graph/renumber.h"
 #include "graph/vertex_id_map.h"
@@ -57,15 +57,14 @@ using testutil::mixed_stream;
 using testutil::seed_trace;
 using testutil::tight_tuning;
 
-// The engine's renumber hook is gated on this shape; all three backends
-// must satisfy it or the trigger silently becomes a no-op for them.
+// The engine's renumber hook is gated on this shape; both engine
+// backends must satisfy it or the trigger silently becomes a no-op.
 template <typename G>
 concept Renumberable = requires(G& g, std::span<const VertexId> l2p) {
     g.apply_renumber(l2p);
     { g.id_map() } -> std::convertible_to<const VertexIdMap&>;
 };
 static_assert(Renumberable<graph::AdjacencyList>);
-static_assert(Renumberable<graph::DegreeAwareHash>);
 static_assert(Renumberable<graph::HybridStore>);
 
 std::vector<VertexId>
@@ -432,16 +431,6 @@ TEST(RenumberBackends, AdjacencyListReadsInvariant)
     }
 }
 
-TEST(RenumberBackends, DegreeAwareHashReadsInvariant)
-{
-    for (const std::uint64_t seed : harness_seeds({211, 212})) {
-        SCOPED_TRACE(seed_trace(seed));
-        graph::DegreeAwareHash g(300, tight_tuning());
-        graph::DegreeAwareHash twin(300, tight_tuning());
-        expect_renumber_invariance(g, twin, seed);
-    }
-}
-
 TEST(RenumberBackends, HybridStoreReadsInvariant)
 {
     for (const std::uint64_t seed : harness_seeds({221, 222})) {
@@ -468,27 +457,6 @@ TEST(RenumberBackends, IdentityRebindIsInvisible)
     EXPECT_TRUE(g.id_map().enabled());
     EXPECT_TRUE(g.id_map().is_identity());
     expect_states_bitwise_equal(before, capture(g));
-}
-
-TEST(RenumberBackends, DegreeAwareHashMoveTransfersMapAndResetsSource)
-{
-    graph::DegreeAwareHash a(32, tight_tuning());
-    for (VertexId t = 0; t < 20; ++t) {
-        a.apply_insert(0, {t, 1.0f}, kOut);
-        a.apply_insert(t, {0, 1.0f}, kIn);
-    }
-    a.exchange_latest_bid(5, 99);
-    a.apply_renumber(random_permutation(32, 404));
-    const EdgeId edges = a.num_edges();
-    graph::DegreeAwareHash b(std::move(a));
-    EXPECT_EQ(b.num_edges(), edges);
-    EXPECT_TRUE(b.id_map().enabled());
-    EXPECT_EQ(b.latest_bid(5), 99u);
-    EXPECT_EQ(b.degree(0, kOut), 20u);
-    // The moved-from store is consistently empty: counters, bid table,
-    // and id map all reset together.
-    EXPECT_EQ(a.num_edges(), 0u);
-    EXPECT_FALSE(a.id_map().enabled());
 }
 
 // ------------------------------------------------- engine-level trigger
@@ -733,15 +701,6 @@ TEST(RenumberIncremental, AdjacencyListStateSurvivesMidStream)
     for (const std::uint64_t seed : harness_seeds({231})) {
         SCOPED_TRACE(seed_trace(seed));
         graph::AdjacencyList g(300);
-        expect_incremental_survives_renumber(g, seed);
-    }
-}
-
-TEST(RenumberIncremental, DegreeAwareHashStateSurvivesMidStream)
-{
-    for (const std::uint64_t seed : harness_seeds({232})) {
-        SCOPED_TRACE(seed_trace(seed));
-        graph::DegreeAwareHash g(300, tight_tuning());
         expect_incremental_survives_renumber(g, seed);
     }
 }
