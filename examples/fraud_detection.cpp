@@ -14,6 +14,7 @@
  */
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "analytics/incremental/sssp.h"
 #include "core/engine.h"
@@ -68,11 +69,13 @@ main(int argc, char** argv)
             graph::DirtySetView(engine.graph(), work.affected), work.inserted,
             work.deleted);
 
-        // Alert newly-close accounts (affected vertices only: the
-        // incremental model guarantees distances elsewhere are unchanged).
-        for (VertexId v : work.affected) {
+        // Alert newly-close accounts.  Every account, not just the
+        // batch's endpoints: an insertion also lowers distances
+        // downstream of them.
+        const std::vector<Weight>& dist = proximity.distances();
+        for (VertexId v = 0; v < dist.size(); ++v) {
             if (!alerted[v] && v != kFlaggedAccount &&
-                proximity.distances()[v] <= kAlertDistance) {
+                dist[v] <= kAlertDistance) {
                 alerted[v] = true;
                 ++alerts;
                 if (alerts <= 10) {
@@ -80,16 +83,22 @@ main(int argc, char** argv)
                                 "hops-worth of money from flagged "
                                 "account\n",
                                 static_cast<unsigned long long>(id), v,
-                                proximity.distances()[v]);
+                                dist[v]);
                 }
             }
         }
     }
 
     std::size_t reachable = 0;
-    for (Weight d : proximity.distances()) {
-        if (d != kInfiniteDistance) {
+    std::size_t missed = 0;
+    const std::vector<Weight>& dist = proximity.distances();
+    for (VertexId v = 0; v < dist.size(); ++v) {
+        if (dist[v] != kInfiniteDistance) {
             ++reachable;
+        }
+        if (v != kFlaggedAccount && dist[v] <= kAlertDistance &&
+            !alerted[v]) {
+            ++missed;
         }
     }
     std::printf("\nprocessed %llu batches x %zu transactions\n",
@@ -97,5 +106,12 @@ main(int argc, char** argv)
     std::printf("accounts reachable from flagged account: %zu; alerts "
                 "raised: %zu\n",
                 reachable, alerts);
+    if (missed != 0) {
+        std::fprintf(stderr,
+                     "%zu accounts within %.2f of the flagged account were "
+                     "never alerted\n",
+                     missed, kAlertDistance);
+        return 1;
+    }
     return 0;
 }

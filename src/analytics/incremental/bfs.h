@@ -2,15 +2,15 @@
  * @file
  * Memoized BFS (hop distances) with deletion-safe delta rounds.
  *
- * The unit-weight sibling of analytics/incremental/sssp.h: hop counts
- * persist across epochs in a @ref HopState.  Insertions can only
- * shorten hop distances, so they relax outward from the inserted
- * edges' sources.  A deletion may lengthen them: the dependence region
- * is tagged precisely — an edge (v, w) carried w's BFS level iff
- * hops[w] == hops[v] + 1 — reset to unreachable, and re-settled from
- * its in-boundary plus the source.  Duplicate insertions are harmless
- * here (weight accumulation does not change hop counts), which is why
- * BFS needs no accumulation scan.
+ * The unit-weight sibling of analytics/incremental/sssp.h over the same
+ * @ref PathState: hop counts and their BFS tree persist across epochs.
+ * Insertions can only shorten hop distances, so they relax outward from
+ * the inserted edges' sources.  A deletion of a tree edge (u, v) —
+ * parent[v] == u — may lengthen them: v's subtree is reset to
+ * unreachable and re-settled from its in-boundary.  Insertions never
+ * seed a trim, unlike SSSP's: weight accumulation on a duplicate does
+ * not change hop counts, so a duplicate-heavy insert-only stream never
+ * trims at all.
  *
  * Hop counts are integers, so the equivalence harness asserts exact
  * equality against traversal.h's bfs_distances every epoch.
@@ -33,13 +33,16 @@ namespace igs::analytics::incremental {
 /** Epoch-persistent BFS hop distances (DESIGN.md §14). */
 class Bfs {
   public:
-    static constexpr std::uint32_t kUnreachable = ~0u;
+    static constexpr std::uint32_t kUnreachable =
+        PathState<std::uint32_t>::kUnreached;
 
     explicit Bfs(VertexId source) : source_(source) {}
 
     VertexId source() const { return source_; }
-    const std::vector<std::uint32_t>& hops() const { return state_.hops; }
-    bool warm() const { return state_.warm; }
+    const std::vector<std::uint32_t>& hops() const { return state_.values(); }
+    /** BFS tree: the in-neighbor each hop count came from. */
+    const std::vector<VertexId>& parents() const { return state_.parents(); }
+    bool warm() const { return state_.warm(); }
 
     /** Plain BFS from scratch into the memo state. */
     template <typename Graph>
@@ -47,22 +50,7 @@ class Bfs {
     ComputeStats
     full_rerun(const Graph& g, ComputeMeter* external_meter = nullptr)
     {
-        ComputeMeter local;
-        ComputeMeter* meter =
-            external_meter != nullptr ? external_meter : &local;
-        const ComputeStats before = meter->stats();
-        const std::size_t n = g.num_vertices();
-        state_.hops.assign(n, kUnreachable);
-        state_.in_frontier.ensure(n);
-        state_.dirty.ensure(n);
-        state_.warm = true;
-        if (n == 0 || source_ >= n) {
-            return stats_delta(meter->stats(), before);
-        }
-        state_.hops[source_] = 0;
-        std::vector<VertexId> frontier{source_};
-        relax_to_fixpoint(g, frontier, meter);
-        return stats_delta(meter->stats(), before);
+        return state_.full_rerun(g, source_, external_meter);
     }
 
     /**
@@ -76,120 +64,13 @@ class Bfs {
                  std::span<const StreamEdge> deleted,
                  ComputeMeter* external_meter = nullptr)
     {
-        if (!state_.warm) {
-            return full_rerun(view, external_meter);
-        }
-        ComputeMeter local;
-        ComputeMeter* meter =
-            external_meter != nullptr ? external_meter : &local;
-        const ComputeStats before = meter->stats();
-        const std::size_t n = view.num_vertices();
-        state_.ensure(n);
-        if (n == 0) {
-            return stats_delta(meter->stats(), before);
-        }
-
-        std::vector<VertexId> frontier;
-        auto push = [&](VertexId v) {
-            state_.in_frontier.push_unique(v, frontier);
-        };
-
-        // --- Deletions: tag the dependence region.  An edge (src, dst)
-        // carried dst's level iff hops[dst] == hops[src] + 1 (>= covers
-        // not-yet-settled oddities conservatively; trimming too much
-        // only costs re-relaxation work, never correctness).
-        std::vector<VertexId> dirty;
-        std::vector<VertexId> stack;
-        for (const StreamEdge& e : deleted) {
-            if (e.src < n && e.dst < n &&
-                state_.hops[e.src] != kUnreachable &&
-                state_.hops[e.dst] != kUnreachable &&
-                state_.hops[e.dst] >= state_.hops[e.src] + 1 &&
-                !state_.dirty.test(e.dst)) {
-                state_.dirty.push_unique(e.dst, stack);
-            }
-        }
-        while (!stack.empty()) {
-            const VertexId v = stack.back();
-            stack.pop_back();
-            dirty.push_back(v);
-            meter->activate();
-            for (const Neighbor& e : view.edges(v, Direction::kOut)) {
-                meter->traverse();
-                if (!state_.dirty.test(e.id) &&
-                    state_.hops[e.id] != kUnreachable &&
-                    state_.hops[e.id] >= state_.hops[v] + 1) {
-                    state_.dirty.push_unique(e.id, stack);
-                }
-            }
-        }
-        for (VertexId v : dirty) {
-            state_.hops[v] = kUnreachable;
-        }
-        for (VertexId v : dirty) {
-            for (const Neighbor& e : view.edges(v, Direction::kIn)) {
-                meter->traverse();
-                if (!state_.dirty.test(e.id) &&
-                    state_.hops[e.id] != kUnreachable) {
-                    push(e.id);
-                }
-            }
-        }
-        for (VertexId v : dirty) {
-            state_.dirty.clear(v);
-        }
-        if (!dirty.empty() && source_ < n) {
-            state_.hops[source_] = 0;
-            push(source_);
-        }
-
-        // --- Insertions: hop counts only drop; relax from new edges'
-        // reachable sources.
-        for (const StreamEdge& e : inserted) {
-            if (e.src < n && state_.hops[e.src] != kUnreachable) {
-                push(e.src);
-            }
-        }
-        if (source_ < n && state_.hops[source_] != 0) {
-            state_.hops[source_] = 0;
-            push(source_);
-        }
-
-        meter->seed(frontier.size());
-        relax_to_fixpoint(view, frontier, meter);
-        return stats_delta(meter->stats(), before);
+        return state_.delta_update(view, source_, inserted, deleted,
+                                   external_meter);
     }
 
   private:
-    /** See incremental::Sssp::relax_to_fixpoint (unit weights here). */
-    template <typename Graph>
-    void
-    relax_to_fixpoint(const Graph& g, std::vector<VertexId>& frontier,
-                      ComputeMeter* meter)
-    {
-        while (!frontier.empty()) {
-            meter->iteration();
-            for (VertexId v : frontier) {
-                state_.in_frontier.clear(v);
-            }
-            std::vector<VertexId> current;
-            current.swap(frontier);
-            for (VertexId v : current) {
-                meter->activate();
-                for (const Neighbor& e : g.edges(v, Direction::kOut)) {
-                    meter->traverse();
-                    const std::uint32_t cand = state_.hops[v] + 1;
-                    if (cand < state_.hops[e.id]) {
-                        state_.hops[e.id] = cand;
-                        state_.in_frontier.push_unique(e.id, frontier);
-                    }
-                }
-            }
-        }
-    }
-
     VertexId source_;
-    HopState state_;
+    PathState<std::uint32_t> state_;
 };
 
 } // namespace igs::analytics::incremental

@@ -14,6 +14,7 @@
  */
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -37,8 +38,10 @@
 namespace igs {
 namespace {
 
+using analytics::incremental::Bfs;
 using analytics::incremental::IncrementalAnalytics;
 using analytics::incremental::IncrementalConfig;
+using analytics::incremental::Sssp;
 using stream::IncrementalPolicy;
 using testutil::harness_seeds;
 using testutil::seed_trace;
@@ -173,11 +176,70 @@ harness_config(IncrementalPolicy policy)
     return cfg;
 }
 
+/** Weight of the edge (u, v) in `g`, or nullopt when it is absent. */
+template <typename Graph>
+std::optional<Weight>
+edge_weight(const Graph& g, VertexId u, VertexId v)
+{
+    for (const Neighbor& e : g.edges(u, Direction::kOut)) {
+        if (e.id == v) {
+            return e.weight;
+        }
+    }
+    return std::nullopt;
+}
+
+/**
+ * The kernel's parent array must be a shortest-path tree of `g`: every
+ * reached vertex but the source hangs off an existing edge
+ * (parent[v], v) whose relaxation reproduces its value exactly; the
+ * source and unreached vertices have no parent.
+ */
+template <typename Graph, typename D, typename Step>
+void
+expect_parent_tree(const Graph& g, VertexId source,
+                   const std::vector<D>& value,
+                   const std::vector<VertexId>& parent, D unreached,
+                   Step step)
+{
+    ASSERT_EQ(parent.size(), value.size());
+    for (VertexId v = 0; v < value.size(); ++v) {
+        if (v == source || value[v] == unreached) {
+            EXPECT_EQ(parent[v], kInvalidVertex) << "vertex " << v;
+            continue;
+        }
+        const VertexId p = parent[v];
+        ASSERT_LT(p, value.size()) << "vertex " << v;
+        const std::optional<Weight> w = edge_weight(g, p, v);
+        ASSERT_TRUE(w.has_value()) << "tree edge " << p << "->" << v;
+        EXPECT_EQ(value[v], step(value[p], *w)) << "vertex " << v;
+    }
+}
+
+template <typename Graph>
+void
+expect_parent_tree(const Graph& g, const Sssp& sssp)
+{
+    expect_parent_tree(g, sssp.source(), sssp.distances(), sssp.parents(),
+                       kInfiniteDistance,
+                       [](Weight d, Weight w) { return d + w; });
+}
+
+template <typename Graph>
+void
+expect_parent_tree(const Graph& g, const Bfs& bfs)
+{
+    expect_parent_tree(g, bfs.source(), bfs.hops(), bfs.parents(),
+                       Bfs::kUnreachable,
+                       [](std::uint32_t h, Weight) { return h + 1; });
+}
+
 /**
  * Drive `epochs` of operations through one shared graph, comparing an
  * always-delta bundle against an always-full bundle every epoch: BFS
  * and SSSP must match the from-scratch kernels exactly (least-fixpoint
- * argument, analytics/incremental/sssp.h), PageRank within tolerance.
+ * argument, analytics/incremental/state.h) and keep a valid parent
+ * tree, PageRank must match within tolerance.
  */
 template <typename Graph>
 void
@@ -203,6 +265,10 @@ expect_incremental_matches_full(
         // cancel out).
         EXPECT_EQ(ref.sssp().distances(), analytics::static_sssp(g, 0));
         EXPECT_EQ(ref.bfs().hops(), analytics::bfs_distances(g, 0));
+        expect_parent_tree(g, inc.sssp());
+        expect_parent_tree(g, inc.bfs());
+        expect_parent_tree(g, ref.sssp());
+        expect_parent_tree(g, ref.bfs());
         const auto& ra = inc.pagerank().ranks();
         const auto& rb = ref.pagerank().ranks();
         ASSERT_EQ(ra.size(), rb.size());
@@ -340,6 +406,137 @@ TEST(IncrementalEquivalence, DeletionStressHybridStore)
         graph::HybridStore g(256, tight_tuning());
         expect_incremental_matches_full(g, stress_epochs(seed, 16, 128));
     }
+}
+
+// ------------------------------------------------ parent-tree trimming
+
+/** Hand `ops` (already applied to `g`) to `kernel` as one delta round. */
+template <typename Kernel>
+analytics::ComputeStats
+delta_round(Kernel& kernel, const graph::AdjacencyList& g,
+            const std::vector<StreamEdge>& ops)
+{
+    stream::PendingAccumulator acc;
+    acc.note_batch(stream::EdgeBatch(1, ops));
+    const auto work = acc.hand_off(1);
+    return kernel.delta_update(
+        graph::DirtySetView<graph::AdjacencyList>(g, work.affected),
+        work.inserted, work.deleted);
+}
+
+/** 0 -> 1 -> 2 carries 2 in both trees; 0 -> 3 -> 2 is longer by weight
+ *  and relaxed later by hops, so (3, 2) is off-tree.  5 -> 6 is
+ *  unreachable from the source. */
+graph::AdjacencyList
+off_tree_graph()
+{
+    graph::AdjacencyList g(7);
+    apply_batch(g, {{0, 1, 1.0f, false},
+                    {1, 2, 1.0f, false},
+                    {0, 3, 1.0f, false},
+                    {3, 2, 5.0f, false},
+                    {5, 6, 1.0f, false}});
+    return g;
+}
+
+TEST(IncrementalTrim, OffTreeDeletionDoesNoWork)
+{
+    graph::AdjacencyList g = off_tree_graph();
+    Sssp sssp(0);
+    Bfs bfs(0);
+    sssp.full_rerun(g);
+    bfs.full_rerun(g);
+    ASSERT_EQ(sssp.parents()[2], 1u);
+    ASSERT_EQ(bfs.parents()[2], 1u);
+
+    const std::vector<StreamEdge> cut{{3, 2, 5.0f, true}};
+    apply_batch(g, cut);
+    for (const auto& work : {delta_round(sssp, g, cut),
+                             delta_round(bfs, g, cut)}) {
+        EXPECT_EQ(work.activations, 0u);
+        EXPECT_EQ(work.traversals, 0u);
+    }
+    EXPECT_EQ(sssp.distances(), analytics::static_sssp(g, 0));
+    EXPECT_EQ(bfs.hops(), analytics::bfs_distances(g, 0));
+}
+
+TEST(IncrementalTrim, OffTreeDuplicateInsertTraversesNothingExtra)
+{
+    graph::AdjacencyList g = off_tree_graph();
+    Sssp sssp(0);
+    sssp.full_rerun(g);
+
+    // Unreached source: nothing to relax, so no work at all.
+    const std::vector<StreamEdge> far{{5, 6, 0.5f, false}};
+    apply_batch(g, far);
+    const auto far_work = delta_round(sssp, g, far);
+    EXPECT_EQ(far_work.activations, 0u);
+    EXPECT_EQ(far_work.traversals, 0u);
+
+    // Reached source: one relaxation of its row, no trim.
+    const std::vector<StreamEdge> near{{3, 2, 0.5f, false}};
+    apply_batch(g, near);
+    const auto near_work = delta_round(sssp, g, near);
+    EXPECT_EQ(near_work.activations, 1u);
+    EXPECT_EQ(near_work.traversals, g.degree(3, Direction::kOut));
+    EXPECT_EQ(sssp.distances(), analytics::static_sssp(g, 0));
+    expect_parent_tree(g, sssp);
+}
+
+TEST(IncrementalTrim, TreeEdgeDuplicateInsertRaisesDistanceExactly)
+{
+    graph::AdjacencyList g(5);
+    apply_batch(g, {{0, 1, 1.0f, false},
+                    {1, 2, 1.0f, false},
+                    {0, 2, 3.0f, false},
+                    {2, 4, 1.0f, false}});
+    Sssp sssp(0);
+    sssp.full_rerun(g);
+    ASSERT_EQ(sssp.parents()[2], 1u);
+    ASSERT_EQ(sssp.distances()[2], 2.0f);
+
+    // Accumulation makes the tree edge (1, 2) weigh 2.5: 2 now routes
+    // through the direct edge, and 4 follows it.
+    const std::vector<StreamEdge> dup{{1, 2, 1.5f, false}};
+    apply_batch(g, dup);
+    delta_round(sssp, g, dup);
+    EXPECT_EQ(sssp.distances(), analytics::static_sssp(g, 0));
+    EXPECT_EQ(sssp.distances()[2], 3.0f);
+    EXPECT_EQ(sssp.distances()[4], 4.0f);
+    EXPECT_EQ(sssp.parents()[2], 0u);
+    expect_parent_tree(g, sssp);
+}
+
+TEST(IncrementalTrim, DeletingParentEdgeWithEqualAlternativeStaysExact)
+{
+    // Two equal-length routes into 3, via 1 and via 2; the tree records
+    // one of them, and 4 hangs below 3.
+    graph::AdjacencyList g(5);
+    apply_batch(g, {{0, 1, 1.0f, false},
+                    {0, 2, 1.0f, false},
+                    {1, 3, 1.0f, false},
+                    {2, 3, 1.0f, false},
+                    {3, 4, 1.0f, false}});
+    Sssp sssp(0);
+    Bfs bfs(0);
+    sssp.full_rerun(g);
+    bfs.full_rerun(g);
+    const VertexId via = sssp.parents()[3];
+    ASSERT_TRUE(via == 1 || via == 2);
+    ASSERT_EQ(bfs.parents()[3], via);
+
+    const std::vector<StreamEdge> cut{{via, 3, 1.0f, true}};
+    apply_batch(g, cut);
+    delta_round(sssp, g, cut);
+    delta_round(bfs, g, cut);
+    EXPECT_EQ(sssp.distances(), analytics::static_sssp(g, 0));
+    EXPECT_EQ(bfs.hops(), analytics::bfs_distances(g, 0));
+    EXPECT_EQ(sssp.distances()[4], 3.0f);
+    EXPECT_EQ(bfs.hops()[4], 3u);
+    EXPECT_EQ(sssp.parents()[3], 3 - via);
+    EXPECT_EQ(bfs.parents()[3], 3 - via);
+    expect_parent_tree(g, sssp);
+    expect_parent_tree(g, bfs);
 }
 
 // ------------------------------------------------- policy integration
