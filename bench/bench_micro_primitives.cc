@@ -16,7 +16,6 @@
 #include "gen/datasets.h"
 #include "graph/adjacency_list.h"
 #include "graph/degree_aware_hash.h"
-#include "graph/indexed_adjacency.h"
 #include "sim/cache.h"
 #include "sim/noc.h"
 #include "stream/reorder.h"
@@ -78,21 +77,6 @@ BM_AdjacencyListInsert(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() * 100000);
 }
 BENCHMARK(BM_AdjacencyListInsert);
-
-void
-BM_IndexedAdjacencyInsert(benchmark::State& state)
-{
-    const auto edges = sample_edges(100000);
-    for (auto _ : state) {
-        graph::IndexedAdjacency g(200000);
-        for (const auto& e : edges) {
-            g.apply_insert(e.src, {e.dst, e.weight}, Direction::kOut);
-        }
-        benchmark::DoNotOptimize(g.num_edges());
-    }
-    state.SetItemsProcessed(state.iterations() * 100000);
-}
-BENCHMARK(BM_IndexedAdjacencyInsert);
 
 void
 BM_DegreeAwareHashInsert(benchmark::State& state)

@@ -12,7 +12,7 @@
  * Works against any graph read path: a live store in a drain loop, the
  * engine's SnapshotView in pipeline mode (wire it up with @ref attach,
  * which registers the bundle via BasicRealTimeEngine::set_compute), or
- * the simulator's IndexedAdjacency (bench_incremental); a delta round
+ * the simulator's AdjacencyList (bench_incremental); a delta round
  * wraps whichever it is in a graph::DirtySetView.
  *
  * Telemetry (core.analytics.incr_*) is registered lazily on the first

@@ -5,7 +5,7 @@
  * (analytics/incremental/pagerank.h) is checked against.
  *
  * Operates on any store satisfying the graph::GraphReadPath concept — a
- * live AdjacencyList / IndexedAdjacency, or the pipeline's immutable
+ * live AdjacencyList or HybridStore, or the pipeline's immutable
  * SnapshotView.  The concept constraint documents (and enforces) that the
  * compute phase only touches the read path: an algorithm cannot silently
  * grow a dependency on mutation while a snapshot is in flight.

@@ -154,7 +154,7 @@ HauSimulator::barrier()
 }
 
 void
-HauSimulator::run_subphase(graph::IndexedAdjacency& g,
+HauSimulator::run_subphase(graph::AdjacencyList& g,
                            const stream::EdgeBatch& batch, bool deletes,
                            stream::OcaProbe* probe, HauRunStats& stats)
 {
@@ -289,7 +289,7 @@ HauSimulator::consume_phase(std::vector<std::vector<Task>>& queues,
 }
 
 HauRunStats
-HauSimulator::run_batch(graph::IndexedAdjacency& g,
+HauSimulator::run_batch(graph::AdjacencyList& g,
                         const stream::EdgeBatch& batch,
                         stream::OcaProbe* probe)
 {

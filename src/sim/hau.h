@@ -21,9 +21,9 @@
  *  - insertions of a batch are fully processed before its deletions (the
  *    paper's update-ordering rule).
  *
- * The graph state is mutated through @ref igs::graph::IndexedAdjacency so
- * the scan lengths come from the real evolving structure while host time
- * stays linear.
+ * The graph state is mutated through @ref igs::graph::AdjacencyList, the
+ * store the real engine updates, so the scan lengths are the real
+ * evolving structure's.
  */
 #ifndef IGS_SIM_HAU_H
 #define IGS_SIM_HAU_H
@@ -34,7 +34,7 @@
 
 #include "common/random.h"
 #include "common/types.h"
-#include "graph/indexed_adjacency.h"
+#include "graph/adjacency_list.h"
 #include "sim/cache.h"
 #include "sim/machine.h"
 #include "sim/noc.h"
@@ -83,7 +83,7 @@ class HauSimulator {
      * `probe`, when non-null, receives OCA's locality instrumentation
      * (the software side still maintains latest_bid).
      */
-    HauRunStats run_batch(graph::IndexedAdjacency& g,
+    HauRunStats run_batch(graph::AdjacencyList& g,
                           const stream::EdgeBatch& batch,
                           stream::OcaProbe* probe = nullptr);
 
@@ -137,7 +137,7 @@ class HauSimulator {
                        HauRunStats& stats);
     /** Produce+consume all operations of one sub-phase (inserts or
      *  deletes); returns the sub-phase makespan start offset. */
-    void run_subphase(graph::IndexedAdjacency& g,
+    void run_subphase(graph::AdjacencyList& g,
                       const stream::EdgeBatch& batch, bool deletes,
                       stream::OcaProbe* probe, HauRunStats& stats);
     void barrier();

@@ -13,7 +13,7 @@
 #define IGS_SIM_SIM_ENGINE_H
 
 #include "core/engine.h"
-#include "graph/indexed_adjacency.h"
+#include "graph/adjacency_list.h"
 #include "sim/update_runner.h"
 
 namespace igs::sim {
@@ -31,9 +31,9 @@ class SimEngine {
               const SwCostParams& sw, const HauCostParams& hw,
               std::size_t num_vertices, ThreadPool& pool = default_pool());
 
-    /** The evolving graph (index-accelerated; see DESIGN.md). */
-    graph::IndexedAdjacency& graph() { return graph_; }
-    const graph::IndexedAdjacency& graph() const { return graph_; }
+    /** The evolving graph: the real engine's store (DESIGN.md §5). */
+    graph::AdjacencyList& graph() { return graph_; }
+    const graph::AdjacencyList& graph() const { return graph_; }
 
     /** Ingest one batch; runs ABR/OCA and the chosen update path. */
     core::BatchReport ingest(const stream::EdgeBatch& batch);
@@ -77,7 +77,7 @@ class SimEngine {
 
   private:
     core::detail::DecisionCore core_;
-    graph::IndexedAdjacency graph_;
+    graph::AdjacencyList graph_;
     UpdateRunner runner_;
     ThreadPool& pool_;
     /** Arena-backed reorderer, reused across batches (zero steady-state

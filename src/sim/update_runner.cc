@@ -136,7 +136,7 @@ UpdateRunner::UpdateRunner(const MachineParams& machine,
 }
 
 UpdateStats
-UpdateRunner::run(graph::IndexedAdjacency& g, const stream::EdgeBatch& batch,
+UpdateRunner::run(graph::AdjacencyList& g, const stream::EdgeBatch& batch,
                   UpdateMode mode, stream::OcaProbe* probe,
                   const stream::ReorderedBatch* reordered)
 {

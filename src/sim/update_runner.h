@@ -13,7 +13,7 @@
 #include <memory>
 #include <optional>
 
-#include "graph/indexed_adjacency.h"
+#include "graph/adjacency_list.h"
 #include "sim/exec_sim.h"
 #include "sim/hau.h"
 #include "sim/machine.h"
@@ -59,7 +59,7 @@ class UpdateRunner {
      *        input-aware engine reorders once and shares it with ABR's
      *        instrumentation); if null, RO modes reorder internally.
      */
-    UpdateStats run(graph::IndexedAdjacency& g,
+    UpdateStats run(graph::AdjacencyList& g,
                     const stream::EdgeBatch& batch, UpdateMode mode,
                     stream::OcaProbe* probe = nullptr,
                     const stream::ReorderedBatch* reordered = nullptr);

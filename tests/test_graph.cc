@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the dynamic graph structures: AdjacencyList, DegreeAwareHash
- * and IndexedAdjacency — including randomized cross-structure
- * equivalence properties.
+ * Tests for the dynamic graph structures: AdjacencyList and
+ * DegreeAwareHash — including randomized cross-structure equivalence
+ * properties.
  */
 #include <algorithm>
 #include <map>
@@ -14,7 +14,6 @@
 #include "common/random.h"
 #include "graph/adjacency_list.h"
 #include "graph/degree_aware_hash.h"
-#include "graph/indexed_adjacency.h"
 
 namespace igs::graph {
 namespace {
@@ -171,71 +170,6 @@ TEST_P(DahRandomTest, MatchesReferenceModel)
 INSTANTIATE_TEST_SUITE_P(Seeds, DahRandomTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
-// ----------------------------------------------------- indexed adjacency
-TEST(IndexedAdjacency, ProbesMatchLinearScanSemantics)
-{
-    IndexedAdjacency g(8);
-    AdjacencyList ref(8);
-    Rng rng(17);
-    for (int i = 0; i < 2000; ++i) {
-        const auto s = static_cast<VertexId>(rng.below(8));
-        const auto t = static_cast<VertexId>(rng.below(8));
-        const auto a = g.apply_insert(s, {t, 1.0f}, Direction::kOut);
-        const auto b = ref.apply_insert(s, {t, 1.0f}, Direction::kOut);
-        ASSERT_EQ(a.found, b.found);
-        // On insert-only streams the modeled probe counts are identical
-        // to the real linear scan's.
-        ASSERT_EQ(a.probes, b.probes);
-        ASSERT_EQ(a.len_before, b.len_before);
-    }
-    EXPECT_TRUE(g.same_topology(ref));
-}
-
-class IndexedEquivalenceTest : public ::testing::TestWithParam<std::uint64_t>
-{
-};
-
-TEST_P(IndexedEquivalenceTest, StateMatchesAdjacencyListWithDeletes)
-{
-    Rng rng(GetParam());
-    IndexedAdjacency g(64);
-    AdjacencyList ref(64);
-    for (int i = 0; i < 5000; ++i) {
-        const auto s = static_cast<VertexId>(rng.below(64));
-        const auto t = static_cast<VertexId>(rng.below(64));
-        for (auto dir : {Direction::kOut, Direction::kIn}) {
-            if (rng.chance(0.25)) {
-                const auto a = g.apply_remove(s, t, dir);
-                const auto b = ref.apply_remove(s, t, dir);
-                ASSERT_EQ(a.found, b.found);
-            } else {
-                const float w = static_cast<float>(rng.uniform(0.5, 1.5));
-                const auto a = g.apply_insert(s, {t, w}, dir);
-                const auto b = ref.apply_insert(s, {t, w}, dir);
-                ASSERT_EQ(a.found, b.found);
-            }
-        }
-    }
-    EXPECT_TRUE(g.same_topology(ref));
-    EXPECT_EQ(g.num_edges(), ref.num_edges());
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, IndexedEquivalenceTest,
-                         ::testing::Values(11, 12, 13, 14, 15, 16));
-
-TEST(IndexedAdjacency, RemoveFixesMovedIndexEntry)
-{
-    IndexedAdjacency g(4);
-    g.apply_insert(0, {1, 1.0f}, Direction::kOut);
-    g.apply_insert(0, {2, 1.0f}, Direction::kOut);
-    g.apply_insert(0, {3, 1.0f}, Direction::kOut);
-    // Removing the first entry swaps 3 into its slot; 3 must stay findable.
-    g.apply_remove(0, 1, Direction::kOut);
-    const auto r = g.apply_insert(0, {3, 2.0f}, Direction::kOut);
-    EXPECT_TRUE(r.found);
-    EXPECT_EQ(g.degree(0, Direction::kOut), 2u);
-}
-
 } // namespace
 } // namespace igs::graph
 
@@ -243,20 +177,6 @@ TEST(IndexedAdjacency, RemoveFixesMovedIndexEntry)
 // invariants and argument-validation death tests.
 namespace igs::graph {
 namespace {
-
-TEST(IndexedAdjacency, EnsureVerticesPreservesBidsAndEdges)
-{
-    IndexedAdjacency g(4);
-    g.apply_insert(0, {1, 1.0f}, Direction::kOut);
-    g.exchange_latest_bid(2, 9);
-    g.ensure_vertices(1000);
-    EXPECT_EQ(g.num_vertices(), 1000u);
-    EXPECT_EQ(g.degree(0, Direction::kOut), 1u);
-    EXPECT_EQ(g.latest_bid(2), 9u);
-    // The index still finds the pre-growth edge.
-    const auto r = g.apply_insert(0, {1, 2.0f}, Direction::kOut);
-    EXPECT_TRUE(r.found);
-}
 
 TEST(AdjacencyList, MoveTransfersState)
 {

@@ -31,7 +31,6 @@
 #include "graph/dirty_set_view.h"
 #include "graph/graph_store.h"
 #include "graph/hybrid_store.h"
-#include "graph/indexed_adjacency.h"
 #include "graph/snapshot_view.h"
 #include "sim/sim_engine.h"
 #include "stream/pending.h"
@@ -53,10 +52,8 @@ using testutil::seed_trace;
 // Every storage backend satisfies the read-path concept; the live stores
 // and the snapshot additionally carry the epoch token.
 static_assert(graph::GraphReadPath<graph::AdjacencyList>);
-static_assert(graph::GraphReadPath<graph::IndexedAdjacency>);
 static_assert(graph::GraphReadPath<graph::SnapshotView>);
 static_assert(graph::GraphStore<graph::AdjacencyList>);
-static_assert(graph::GraphStore<graph::IndexedAdjacency>);
 static_assert(graph::GraphStore<graph::SnapshotView>);
 
 // ----------------------------------------------------------- snapshots
