@@ -2,8 +2,8 @@
  * @file
  * Reusable open-addressing vertex -> weight table for USC run coalescing.
  *
- * Replaces the per-run `std::unordered_map` in the real-time USC update
- * path: one table per pool worker lives in an engine-owned arena and is
+ * The USC kernel's per-run table, for the real engine and the simulator
+ * alike: one table per pool worker lives in an engine-owned arena and is
  * recycled across runs and batches, so steady-state coalescing performs no
  * heap allocations.  Resets are O(live entries) via epoch stamping (slots
  * from older epochs read as empty), and iteration is O(live entries) in

@@ -12,13 +12,16 @@
  *    per-vertex lock resources accounts cycles on the paper's Table-1
  *    machine.  See DESIGN.md for why simulation is the primary metric.
  *
+ * Both contexts run the same kernel code over the same store; only the
+ * scheduling and the cost hooks differ.
+ *
  * Context concept (duck-typed; both contexts implement it):
  *
- *   static constexpr bool kSimulated;
  *   void for_tasks(n, chunk, body);          // parallel loop, body(i)
  *   void for_worker_tasks(n, chunk, body);   // parallel loop, body(worker, i)
  *                                            // worker < workers(); stable id
  *   std::size_t workers();                   // max worker id bound + 1
+ *   FlatWeightTable& usc_table(worker);      // worker's reusable USC table
  *   void locked_apply(graph, v, dir, fn);    // fn() -> ApplyResult under
  *                                            // (v,dir)'s lock
  *   void apply(fn);                          // fn() -> ApplyResult, no lock
@@ -107,8 +110,6 @@ struct UscScratch {
 /** Production context: real parallelism, real locks, no cost accounting. */
 class RealContext {
   public:
-    static constexpr bool kSimulated = false;
-
     explicit RealContext(ThreadPool& pool = default_pool(),
                          UscScratch* usc = nullptr)
         : pool_(pool), usc_(usc != nullptr ? usc : &own_usc_)

@@ -21,7 +21,6 @@
 #define IGS_STREAM_UPDATERS_H
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "common/flat_table.h"
 #include "common/types.h"
@@ -183,64 +182,33 @@ apply_usc_direction(Graph& g, const ReorderedDirection& rd, Direction dir,
             touch_source(g, run.vertex, bid, probe);
         }
 
-        if constexpr (Ctx::kSimulated) {
-            (void)worker;
-            // Step 1 (Fig 8): populate the run's target -> weight table,
-            // accumulating duplicate targets within the run.  The simulated
-            // path keeps std::unordered_map: its iteration order fixes the
-            // edge append order the cycle model depends on downstream.
-            // Simulated path only (see comment above): the modeled cost is
-            // charged analytically.  igs-lint: allow(hot-path-alloc)
-            std::unordered_map<VertexId, Weight> table;
-            std::size_t num_inserts = 0;
-            for (std::uint32_t i = run.begin; i < run.end; ++i) {
-                const StreamEdge& e = rd.edges[i];
-                if (e.is_delete) {
-                    continue;
-                }
-                const VertexId target = dir == Direction::kOut ? e.dst : e.src;
-                table[target] += e.weight;
-                ++num_inserts;
+        // Step 1 (Fig 8): populate the run's target -> weight table,
+        // accumulating duplicate targets within the run.  The table is
+        // this worker's reusable open-addressing array (no per-run node
+        // allocations).
+        FlatWeightTable& table = ctx.usc_table(worker);
+        table.reset(run.size());
+        std::size_t num_inserts = 0;
+        for (std::uint32_t i = run.begin; i < run.end; ++i) {
+            const StreamEdge& e = rd.edges[i];
+            if (e.is_delete) {
+                continue;
             }
-            ctx.charge_hash_build(num_inserts);
+            const VertexId target = dir == Direction::kOut ? e.dst : e.src;
+            table.add(target, e.weight);
+            ++num_inserts;
+        }
+        ctx.charge_hash_build(num_inserts);
 
-            if (!table.empty()) {
-                const std::size_t len_before = g.degree(run.vertex, dir);
-                // Functional shortcut: applying each table entry through the
-                // indexed structure produces the same state the single scan
-                // would; the scan's cost is charged analytically.
-                std::size_t appended = 0;
-                for (const auto& [target, w] : table) {
-                    const auto r = g.apply_insert(run.vertex,
-                                                  Neighbor{target, w}, dir);
-                    appended += r.found ? 0 : 1;
-                }
-                ctx.charge_coalesced_scan(len_before, len_before, appended);
-            }
-        } else {
-            // Production path: the run's table is this worker's reusable
-            // open-addressing array (no per-run node allocations).
-            FlatWeightTable& table = ctx.usc_table(worker);
-            table.reset(run.size());
-            std::size_t num_inserts = 0;
-            for (std::uint32_t i = run.begin; i < run.end; ++i) {
-                const StreamEdge& e = rd.edges[i];
-                if (e.is_delete) {
-                    continue;
-                }
-                const VertexId target = dir == Direction::kOut ? e.dst : e.src;
-                table.add(target, e.weight);
-                ++num_inserts;
-            }
-            ctx.charge_hash_build(num_inserts);
-
-            if (!table.empty()) {
-                // Steps 2-4 (Fig 8): one scan of the edge data, hash
-                // lookups per element, then append the non-matching
-                // remainder.  The store runs it, so the row's change
-                // mark and growth rule stay with the row.
+        if (!table.empty()) {
+            // Steps 2-4 (Fig 8): one scan of the edge data, hash lookups
+            // per element, then append the non-matching remainder.  The
+            // store runs it, so the row's change mark and growth rule stay
+            // with the row.
+            const std::size_t len_before = g.degree(run.vertex, dir);
+            const std::size_t appended =
                 g.apply_coalesced(run.vertex, dir, table);
-            }
+            ctx.charge_coalesced_scan(len_before, len_before, appended);
         }
 
         // Deletions of the run (after the run's insertions).
