@@ -73,13 +73,12 @@ main(int argc, char** argv)
     };
     Cycles dah_update = 0;
     {
-        graph::DegreeAwareHash g(ds.model.num_vertices,
-                                 bench::store_tuning());
+        graph::DegreeAwareHash g(ds.model.num_vertices);
         dah_update = replay_structure(g);
     }
     Cycles hybrid_update = 0;
     {
-        graph::HybridStore g(ds.model.num_vertices, bench::store_tuning());
+        graph::HybridStore g(ds.model.num_vertices);
         hybrid_update = replay_structure(g);
         g.publish_tier_telemetry();
     }

@@ -41,33 +41,13 @@ main(int argc, char** argv)
                 const auto off = bench::run_stream(
                     ds, b, nb, UpdatePolicy::kBaseline, Algo::kPageRank,
                     false);
-                auto run_with = [&](double threshold) {
-                    core::EngineConfig cfg2;
-                    cfg2.policy = UpdatePolicy::kBaseline;
-                    cfg2.oca.enabled = true;
-                    cfg2.oca.threshold = threshold;
-                    sim::SimEngine engine(cfg2, sim::MachineParams{},
-                                           sim::SwCostParams{},
-                                           sim::HauCostParams{},
-                                           ds.model.num_vertices);
-                    bench::IncrementalCompute pr(Algo::kPageRank,
-                                                 engine.graph());
-                    auto genr = ds.make_generator();
-                    Cycles compute = 0;
-                    for (std::uint64_t k = 1; k <= nb; ++k) {
-                        stream::EdgeBatch batch;
-                        batch.id = k;
-                        batch.set_edges(genr.take(b));
-                        engine.ingest(batch);
-                        if (engine.compute_due()) {
-                            compute += pr.round(engine.graph(),
-                                                engine.take_pending_work())
-                                           .cycles();
-                        }
-                    }
-                    return compute;
-                };
-                const Cycles with_oca = run_with(th);
+                core::EngineConfig cfg;
+                cfg.policy = UpdatePolicy::kBaseline;
+                cfg.oca.enabled = true;
+                cfg.oca.threshold = th;
+                const Cycles with_oca =
+                    bench::run_stream(ds, b, nb, cfg, Algo::kPageRank)
+                        .compute_cycles;
                 sp[i++] = static_cast<double>(off.compute_cycles) /
                           static_cast<double>(with_oca);
             }

@@ -63,6 +63,9 @@ sets()
              {"fb", 1000, 8, UpdatePolicy::kAbrUsc, Algo::kPageRank, true},
              {"wiki", 1000, 8, UpdatePolicy::kAbrUscHau, Algo::kPageRank,
               true},
+             // Aggregates (overlap 0.42): batches 2 and 4 defer, so the
+             // stream ends on a deferred round that must still be charged.
+             {"fb", 5000, 4, UpdatePolicy::kAbrUsc, Algo::kPageRank, true},
          }},
     };
     return kSets;

@@ -25,7 +25,6 @@
  * code: `ctest -L golden` diffs it against tests/golden/golden_hybrid.json.
  *
  * Usage: bench_hybrid_store [--set=all|table2|rmat|golden] [--json=<path>]
- *                           [--dah-threshold=<n>] [--hybrid-threshold=<n>]
  */
 #include "bench_support.h"
 
@@ -35,6 +34,7 @@
 #include "common/thread_pool.h"
 #include "gen/rmat.h"
 #include "graph/adjacency_list.h"
+#include "graph/degree_aware_hash.h"
 #include "sim/sim_context.h"
 #include "stream/batch.h"
 #include "stream/updaters.h"
@@ -172,7 +172,7 @@ run_arms(MakeGen&& make_gen, std::size_t num_vertices, const Workload& wl)
     {
         ArmResult a;
         a.store = "dah";
-        graph::DegreeAwareHash g(num_vertices, bench::store_tuning());
+        graph::DegreeAwareHash g(num_vertices);
         auto genr = make_gen();
         a.stats = replay_store(g, genr, num_vertices, wl);
         a.num_edges = g.num_edges();
@@ -181,7 +181,7 @@ run_arms(MakeGen&& make_gen, std::size_t num_vertices, const Workload& wl)
     {
         ArmResult a;
         a.store = "hybrid";
-        graph::HybridStore g(num_vertices, bench::store_tuning());
+        graph::HybridStore g(num_vertices);
         auto genr = make_gen();
         a.stats = replay_store(g, genr, num_vertices, wl);
         a.num_edges = g.num_edges();
@@ -251,7 +251,6 @@ run_equivalence(const Workload& wl)
     ThreadPool pool(1);
     core::EngineConfig cfg;
     cfg.policy = core::UpdatePolicy::kAbrUsc;
-    cfg.store = bench::store_tuning();
 
     core::RealTimeEngine as_engine(cfg, ds.model.num_vertices, pool);
     cfg.graph_backend = core::GraphBackend::kHybrid;
@@ -323,9 +322,9 @@ write_json(const std::string& path, const char* set_name,
     } else {
         w.key("bench_scale_env").null();
     }
-    w.kv("dah_hash_threshold", bench::store_tuning().dah_hash_threshold);
-    w.kv("hybrid_sorted_threshold",
-         bench::store_tuning().hybrid_sorted_threshold);
+    const graph::StoreTuning tuning;
+    w.kv("dah_hash_threshold", tuning.dah_hash_threshold);
+    w.kv("hybrid_sorted_threshold", tuning.hybrid_sorted_threshold);
     w.kv("hybrid_inline_capacity", graph::HybridEdgeSet::kInlineCapacity);
     w.kv("wall_seconds", wall.seconds());
     w.end_object();
@@ -399,18 +398,6 @@ main(int argc, char** argv)
             json_path = argv[i] + 7;
         } else if (std::strncmp(argv[i], "--set=", 6) == 0) {
             set_name = argv[i] + 6;
-        } else if (std::strncmp(argv[i], "--dah-threshold=", 16) == 0) {
-            const long v = std::atol(argv[i] + 16);
-            if (v > 0) {
-                bench::store_tuning().dah_hash_threshold =
-                    static_cast<std::uint32_t>(v);
-            }
-        } else if (std::strncmp(argv[i], "--hybrid-threshold=", 19) == 0) {
-            const long v = std::atol(argv[i] + 19);
-            if (v > 0) {
-                bench::store_tuning().hybrid_sorted_threshold =
-                    static_cast<std::uint32_t>(v);
-            }
         }
     }
     const SweepSet* set = nullptr;
@@ -422,8 +409,7 @@ main(int argc, char** argv)
     if (set == nullptr) {
         std::fprintf(stderr,
                      "usage: bench_hybrid_store [--set=<name>] "
-                     "[--json=<path>] [--dah-threshold=<n>] "
-                     "[--hybrid-threshold=<n>]\nsets:");
+                     "[--json=<path>]\nsets:");
         for (const SweepSet& s : sets()) {
             std::fprintf(stderr, " %s", s.name);
         }

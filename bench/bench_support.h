@@ -28,7 +28,6 @@
 #include "common/timer.h"
 #include "core/engine.h"
 #include "gen/datasets.h"
-#include "graph/degree_aware_hash.h"
 #include "graph/dirty_set_view.h"
 #include "graph/hybrid_store.h"
 #include "graph/store_tuning.h"
@@ -37,20 +36,6 @@
 #include "stream/pending.h"
 
 namespace igs::bench {
-
-/**
- * The process-wide store tuning benches construct adaptive graph stores
- * with.  Defaults match StoreTuning's defaults; JsonSink's constructor
- * overrides it from `--dah-threshold=` / `--hybrid-threshold=` flags, and
- * every JSON export echoes the effective values in its `host` block so
- * golden diffs are threshold-aware.
- */
-inline graph::StoreTuning&
-store_tuning()
-{
-    static graph::StoreTuning tuning;
-    return tuning;
-}
 
 /**
  * The IGS_BENCH_SCALE multiplier, parsed once per process.  Announces the
@@ -216,20 +201,8 @@ class JsonSink {
         IGS_CHECK_MSG(active_slot() == nullptr,
                       "only one JsonSink per process");
         for (int i = 1; i < argc;) {
-            bool strip = true;
             if (std::strncmp(argv[i], "--json=", 7) == 0) {
                 path_ = argv[i] + 7;
-            } else if (std::strncmp(argv[i], "--dah-threshold=", 16) == 0) {
-                store_tuning().dah_hash_threshold = parse_threshold(
-                    argv[i] + 16, graph::DahEdgeSet::kHashThreshold);
-            } else if (std::strncmp(argv[i], "--hybrid-threshold=", 19) ==
-                       0) {
-                store_tuning().hybrid_sorted_threshold = parse_threshold(
-                    argv[i] + 19, graph::StoreTuning{}.hybrid_sorted_threshold);
-            } else {
-                strip = false;
-            }
-            if (strip) {
                 for (int j = i; j + 1 < argc; ++j) {
                     argv[j] = argv[j + 1];
                 }
@@ -298,20 +271,6 @@ class JsonSink {
         return slot;
     }
 
-    static std::uint32_t
-    parse_threshold(const char* s, std::uint32_t fallback)
-    {
-        const long v = std::atol(s);
-        if (v <= 0) {
-            std::fprintf(stderr,
-                         "[bench] ignoring invalid store threshold '%s' "
-                         "(must be > 0); using %u\n",
-                         s, fallback);
-            return fallback;
-        }
-        return static_cast<std::uint32_t>(v);
-    }
-
     std::string
     serialize() const
     {
@@ -328,12 +287,11 @@ class JsonSink {
         } else {
             w.key("bench_scale_env").null();
         }
-        // Effective adaptive-store thresholds: golden diffs compare these
-        // exactly, so a run swept with non-default tiers can never pass
-        // for (or silently corrupt) a default-threshold golden.
-        w.kv("dah_hash_threshold", store_tuning().dah_hash_threshold);
-        w.kv("hybrid_sorted_threshold",
-             store_tuning().hybrid_sorted_threshold);
+        // Adaptive-store thresholds every bench builds its stores with
+        // (StoreTuning's defaults); golden diffs compare them exactly.
+        const graph::StoreTuning tuning;
+        w.kv("dah_hash_threshold", tuning.dah_hash_threshold);
+        w.kv("hybrid_sorted_threshold", tuning.hybrid_sorted_threshold);
         w.kv("hybrid_inline_capacity",
              graph::HybridEdgeSet::kInlineCapacity);
         w.kv("wall_seconds", wall_.seconds());
@@ -409,9 +367,52 @@ class JsonSink {
 
 /**
  * Replay `num_batches` batches of `batch_size` edges of `ds` through an
- * input-aware engine with the given policy, running the chosen incremental
- * algorithm on each (possibly OCA-aggregated) snapshot.
+ * input-aware engine configured by `cfg`, running the chosen incremental
+ * algorithm on each (possibly OCA-aggregated) snapshot.  The end of the
+ * stream forces the hand-off OCA deferred past the last batch: that round
+ * is still owed, and is charged to the last batch.
  */
+inline StreamResult
+run_stream(const gen::DatasetSpec& ds, std::size_t batch_size,
+           std::size_t num_batches, const core::EngineConfig& cfg, Algo algo)
+{
+    sim::SimEngine engine(cfg, sim::MachineParams{}, sim::SwCostParams{},
+                           sim::HauCostParams{}, ds.model.num_vertices);
+    IncrementalCompute compute(algo, engine.graph());
+    auto genr = ds.make_generator();
+
+    StreamResult out;
+    const analytics::ComputeCostParams ccp;
+    const auto charge_round = [&](BatchRecord& rec) {
+        rec.computed = true;
+        rec.compute = compute.round(engine.graph(), engine.take_pending_work());
+        out.compute_cycles += rec.compute.cycles(ccp);
+    };
+    for (std::uint64_t k = 1; k <= num_batches; ++k) {
+        stream::EdgeBatch batch;
+        batch.id = k;
+        batch.set_edges(genr.take(batch_size));
+        BatchRecord rec;
+        rec.report = engine.ingest(batch);
+        out.update_cycles += rec.report.update.cycles;
+        if (algo != Algo::kNone && engine.compute_due()) {
+            charge_round(rec);
+        }
+        out.batches.push_back(std::move(rec));
+    }
+    if (algo != Algo::kNone && !out.batches.empty() &&
+        !out.batches.back().computed) {
+        charge_round(out.batches.back());
+    }
+    if (JsonSink* sink = JsonSink::active()) {
+        sink->record_stream(ds.name, batch_size, cfg.policy, algo,
+                            cfg.oca.enabled, cfg.abr, out);
+    }
+    return out;
+}
+
+/** run_stream with a default configuration apart from the policy, the ABR
+ *  parameters and whether OCA is on. */
 inline StreamResult
 run_stream(const gen::DatasetSpec& ds, std::size_t batch_size,
            std::size_t num_batches, core::UpdatePolicy policy,
@@ -422,32 +423,7 @@ run_stream(const gen::DatasetSpec& ds, std::size_t batch_size,
     cfg.policy = policy;
     cfg.abr = abr;
     cfg.oca.enabled = oca;
-    sim::SimEngine engine(cfg, sim::MachineParams{}, sim::SwCostParams{},
-                           sim::HauCostParams{}, ds.model.num_vertices);
-    IncrementalCompute compute(algo, engine.graph());
-    auto genr = ds.make_generator();
-
-    StreamResult out;
-    const analytics::ComputeCostParams ccp;
-    for (std::uint64_t k = 1; k <= num_batches; ++k) {
-        stream::EdgeBatch batch;
-        batch.id = k;
-        batch.set_edges(genr.take(batch_size));
-        BatchRecord rec;
-        rec.report = engine.ingest(batch);
-        out.update_cycles += rec.report.update.cycles;
-        if (algo != Algo::kNone && engine.compute_due()) {
-            rec.computed = true;
-            rec.compute =
-                compute.round(engine.graph(), engine.take_pending_work());
-            out.compute_cycles += rec.compute.cycles(ccp);
-        }
-        out.batches.push_back(std::move(rec));
-    }
-    if (JsonSink* sink = JsonSink::active()) {
-        sink->record_stream(ds.name, batch_size, policy, algo, oca, abr, out);
-    }
-    return out;
+    return run_stream(ds, batch_size, num_batches, cfg, algo);
 }
 
 /** Mean of update speedups vs a baseline result. */

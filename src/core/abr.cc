@@ -3,8 +3,8 @@
 namespace igs::core {
 
 AbrDecision
-AbrController::on_batch(std::span<const StreamEdge> edges,
-                        const stream::ReorderedBatch* reordered)
+AbrController::decide(std::span<const StreamEdge> edges,
+                      const stream::ReorderedBatch* reordered)
 {
     AbrDecision d;
     d.reorder = reordering_;

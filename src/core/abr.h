@@ -73,8 +73,8 @@ class AbrController {
      *        reorder (instrumentation then reads the run index), nullptr
      *        otherwise (hash-map path)
      */
-    AbrDecision on_batch(std::span<const StreamEdge> edges,
-                         const stream::ReorderedBatch* reordered);
+    AbrDecision decide(std::span<const StreamEdge> edges,
+                       const stream::ReorderedBatch* reordered);
 
   private:
     AbrParams params_;

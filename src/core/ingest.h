@@ -89,7 +89,7 @@ drive_batch(DecisionCore& core, const stream::EdgeBatch& batch, bool reorder,
 
     // 2. ABR instrumentation + decision latch for the following batches.
     if (DecisionCore::policy_uses_abr(policy)) {
-        const AbrDecision ad = core.abr().on_batch(batch.edges(), rb);
+        const AbrDecision ad = core.abr().decide(batch.edges(), rb);
         report.abr_active = ad.active;
         report.cad = ad.cad;
         report.instrumentation_cycles += ad.instrumentation_cycles;
@@ -132,7 +132,7 @@ drive_batch(DecisionCore& core, const stream::EdgeBatch& batch, bool reorder,
 
     // 5. OCA: decide whether to defer this batch's compute round.
     const OcaDecision od =
-        core.oca().on_batch(d.want_probe ? &probe : nullptr);
+        core.oca().decide(d.want_probe ? &probe : nullptr);
     report.overlap = od.overlap;
     report.defer_compute = od.defer_compute;
     record_engine_telemetry(report, d.want_probe);

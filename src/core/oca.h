@@ -59,7 +59,7 @@ class OcaController {
      * @returns whether this batch's compute should be deferred
      */
     OcaDecision
-    on_batch(const stream::OcaProbe* probe)
+    decide(const stream::OcaProbe* probe)
     {
         OcaDecision d;
         if (probe != nullptr && probe->unique_nodes() > 0) {

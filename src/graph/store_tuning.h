@@ -4,10 +4,10 @@
  *
  * The degree thresholds at which @ref igs::graph::DegreeAwareHash and
  * @ref igs::graph::HybridStore change a vertex's edge-set representation
- * used to be hard-coded constants; making them runtime values lets benches
- * sweep them and lets golden runs pin (and report) the exact values they
- * were produced with.  Every bench's JSON `host` block echoes the active
- * tuning so golden diffs are threshold-aware (tools/golden_check.py).
+ * used to be hard-coded constants; as runtime values an engine
+ * (EngineConfig::store) or a test can pick them per store.  The benches
+ * use the defaults, and every bench's JSON `host` block echoes them so
+ * golden diffs are threshold-aware (tools/golden_check.py).
  *
  * The defaults reproduce the historical constants, so a
  * default-constructed StoreTuning is behavior-identical to the

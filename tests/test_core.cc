@@ -97,8 +97,7 @@ TEST(Abr, ActiveEveryNthBatch)
     const auto rb = stream::reorder_batch(edges, default_pool());
     std::vector<bool> actives;
     for (int i = 0; i < 7; ++i) {
-        const auto d =
-            abr.on_batch(edges, abr.reordering() ? &rb : nullptr);
+        const auto d = abr.decide(edges, abr.reordering() ? &rb : nullptr);
         actives.push_back(d.active);
     }
     EXPECT_EQ(actives, (std::vector<bool>{true, false, false, true, false,
@@ -115,13 +114,13 @@ TEST(Abr, DecisionAppliesToFollowingBatchesOnly)
     const auto edges = skewed_batch(1000, 2);
     const auto rb = stream::reorder_batch(edges, default_pool());
     // First batch: instrumented while still reordering (the default).
-    const auto d1 = abr.on_batch(edges, &rb);
+    const auto d1 = abr.decide(edges, &rb);
     EXPECT_TRUE(d1.reorder);
     EXPECT_TRUE(d1.active);
     ASSERT_TRUE(d1.cad.has_value());
     // The latched decision flipped for subsequent batches.
     EXPECT_FALSE(abr.reordering());
-    const auto d2 = abr.on_batch(edges, nullptr);
+    const auto d2 = abr.decide(edges, nullptr);
     EXPECT_FALSE(d2.reorder);
     EXPECT_FALSE(d2.active);
 }
@@ -136,7 +135,7 @@ TEST(Abr, HighCadKeepsReorderingOn)
     const auto edges = skewed_batch(5000, 4); // heavy hubs -> high CAD
     const auto rb = stream::reorder_batch(edges, default_pool());
     for (int i = 0; i < 3; ++i) {
-        const auto d = abr.on_batch(edges, &rb);
+        const auto d = abr.decide(edges, &rb);
         EXPECT_TRUE(d.reorder);
         EXPECT_TRUE(abr.reordering());
     }
@@ -149,11 +148,11 @@ TEST(Abr, InstrumentationCostDependsOnPath)
     AbrController abr(p);
     const auto edges = skewed_batch(1000, 5);
     const auto rb = stream::reorder_batch(edges, default_pool());
-    const auto cheap = abr.on_batch(edges, &rb);
+    const auto cheap = abr.decide(edges, &rb);
     // Force the hashed path by reporting no reordered view available.
     AbrController abr2(p);
     // abr2 defaults to reordering=true but gets no reordered batch:
-    const auto costly = abr2.on_batch(edges, nullptr);
+    const auto costly = abr2.decide(edges, nullptr);
     EXPECT_GT(costly.instrumentation_cycles, cheap.instrumentation_cycles);
 }
 
@@ -165,15 +164,15 @@ TEST(Oca, AggregatesAboveThreshold)
     for (int i = 0; i < 10; ++i) {
         probe.note(4, 5); // 100% overlap
     }
-    const auto d1 = oca.on_batch(&probe);
+    const auto d1 = oca.decide(&probe);
     EXPECT_TRUE(oca.aggregation_latched());
     EXPECT_TRUE(d1.defer_compute);
     // Second batch of the aggregated pair computes.
-    const auto d2 = oca.on_batch(nullptr);
+    const auto d2 = oca.decide(nullptr);
     EXPECT_FALSE(d2.defer_compute);
     // Pattern repeats while aggregation stays latched.
-    EXPECT_TRUE(oca.on_batch(nullptr).defer_compute);
-    EXPECT_FALSE(oca.on_batch(nullptr).defer_compute);
+    EXPECT_TRUE(oca.decide(nullptr).defer_compute);
+    EXPECT_FALSE(oca.decide(nullptr).defer_compute);
 }
 
 TEST(Oca, StaysOffBelowThreshold)
@@ -185,7 +184,7 @@ TEST(Oca, StaysOffBelowThreshold)
     probe.note(0, 5);
     probe.note(0, 5);
     probe.note(0, 5); // 20% overlap, below the 25% threshold
-    const auto d = oca.on_batch(&probe);
+    const auto d = oca.decide(&probe);
     EXPECT_FALSE(oca.aggregation_latched());
     EXPECT_FALSE(d.defer_compute);
 }
@@ -196,7 +195,7 @@ TEST(Oca, DisabledNeverDefers)
     stream::OcaProbe probe;
     probe.note(4, 5);
     for (int i = 0; i < 5; ++i) {
-        EXPECT_FALSE(oca.on_batch(&probe).defer_compute);
+        EXPECT_FALSE(oca.decide(&probe).defer_compute);
     }
 }
 
@@ -205,12 +204,12 @@ TEST(Oca, ReleasesPendingWhenOverlapDrops)
     OcaController oca{OcaParams{true, 0.25, 2.0}};
     stream::OcaProbe high;
     high.note(4, 5);
-    EXPECT_TRUE(oca.on_batch(&high).defer_compute);
+    EXPECT_TRUE(oca.decide(&high).defer_compute);
     // New measurement shows no overlap: aggregation unlatches and the
     // deferred round is released immediately.
     stream::OcaProbe low;
     low.note(0, 7);
-    EXPECT_FALSE(oca.on_batch(&low).defer_compute);
+    EXPECT_FALSE(oca.decide(&low).defer_compute);
 }
 
 // --------------------------------------------------------------- engine
@@ -450,7 +449,7 @@ TEST(Cad, PropertyMatchesNaiveOracleAndAbrAgrees)
                 p.lambda = lambda;
                 p.threshold = threshold;
                 AbrController abr(p);
-                const AbrDecision d = abr.on_batch(edges, nullptr);
+                const AbrDecision d = abr.decide(edges, nullptr);
                 ASSERT_TRUE(d.cad.has_value());
                 EXPECT_DOUBLE_EQ(d.cad->cad(), cad);
                 EXPECT_EQ(abr.reordering(), cad >= threshold)
