@@ -4,7 +4,8 @@ namespace igs::core {
 
 AbrDecision
 AbrController::decide(std::span<const StreamEdge> edges,
-                      const stream::ReorderedBatch* reordered)
+                      const stream::ReorderedBatch* reordered,
+                      ThreadPool* pool)
 {
     AbrDecision d;
     d.reorder = reordering_;
@@ -23,7 +24,8 @@ AbrController::decide(std::span<const StreamEdge> edges,
             static_cast<double>(edges.size()) *
             params_.instr_cycles_per_edge_reordered;
     } else {
-        d.cad = cad_from_batch(edges, params_.lambda);
+        d.cad = cad_from_batch(edges, params_.lambda,
+                               pool != nullptr ? *pool : default_pool());
         d.instrumentation_cycles =
             static_cast<double>(edges.size()) *
             params_.instr_cycles_per_edge_hashed;

@@ -72,9 +72,12 @@ class AbrController {
      * @param reordered the reordered batch if the current decision is to
      *        reorder (instrumentation then reads the run index), nullptr
      *        otherwise (hash-map path)
+     * @param pool the workers of the hash-map path; nullptr means
+     *        default_pool(), which is built on first use
      */
     AbrDecision decide(std::span<const StreamEdge> edges,
-                       const stream::ReorderedBatch* reordered);
+                       const stream::ReorderedBatch* reordered,
+                       ThreadPool* pool = nullptr);
 
   private:
     AbrParams params_;

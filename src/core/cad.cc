@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/concurrent_hash_map.h"
-#include "common/thread_pool.h"
 
 namespace igs::core {
 
@@ -46,14 +45,15 @@ cad_from_reordered(const stream::ReorderedBatch& rb, std::uint32_t lambda)
 }
 
 CadResult
-cad_from_batch(std::span<const StreamEdge> edges, std::uint32_t lambda)
+cad_from_batch(std::span<const StreamEdge> edges, std::uint32_t lambda,
+               ThreadPool& pool)
 {
     // The paper populates an Intel-TBB concurrent hash map from the update
     // threads; we use our sharded map the same way (parallel accumulate,
     // then a single-threaded sweep).
     ConcurrentHashMap<VertexId, std::uint32_t> out_deg(edges.size());
     ConcurrentHashMap<VertexId, std::uint32_t> in_deg(edges.size());
-    default_pool().parallel_for(0, edges.size(), [&](std::size_t i) {
+    pool.parallel_for(0, edges.size(), [&](std::size_t i) {
         out_deg.update(edges[i].src, [](std::uint32_t& d) { ++d; });
         in_deg.update(edges[i].dst, [](std::uint32_t& d) { ++d; });
     });

@@ -25,6 +25,7 @@
 #include <span>
 
 #include "common/stats.h"
+#include "common/thread_pool.h"
 #include "common/types.h"
 #include "stream/reorder.h"
 
@@ -61,10 +62,11 @@ CadResult cad_from_reordered(const stream::ReorderedBatch& rb,
 /**
  * CAD via the concurrent-hash-map instrumentation path (paper pseudocode,
  * `reordering == false` branch): per-vertex degrees are accumulated from
- * the raw batch.
+ * the raw batch by the workers of `pool`.  The result does not depend on
+ * the pool's size.
  */
 CadResult cad_from_batch(std::span<const StreamEdge> edges,
-                         std::uint32_t lambda);
+                         std::uint32_t lambda, ThreadPool& pool);
 
 } // namespace igs::core
 

@@ -220,7 +220,7 @@ template <typename GraphT>
 BasicRealTimeEngine<GraphT>::BasicRealTimeEngine(const EngineConfig& config,
                                                  std::size_t num_vertices,
                                                  ThreadPool& pool)
-    : core_(config), graph_(num_vertices), pool_(pool),
+    : core_(config, pool), graph_(num_vertices), pool_(pool),
       reorderer_(config.reorder_mode), locality_monitor_(config.renumber)
 {
     // Adaptive backends take their tier/migration thresholds from the
@@ -275,7 +275,7 @@ BasicRealTimeEngine<GraphT>::publish_epoch()
     const EpochId epoch = graph_.advance_epoch();
     inflight_work_ = pending_.hand_off(epoch);
     const graph::PublishStats ps =
-        snapshots_.publish(graph_, inflight_work_.affected);
+        snapshots_.publish(graph_, inflight_work_.affected, pool_);
     pipeline_stats_.epochs_published += 1;
     pipeline_stats_.dirty_vertices_copied += ps.dirty_vertices;
     pipeline_stats_.edges_copied += ps.copied_edges;

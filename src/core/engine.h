@@ -154,14 +154,24 @@ namespace detail {
 /** Shared ABR/OCA decision plumbing between the two engine frontends. */
 class DecisionCore {
   public:
+    /** ABR's hash-map path runs on default_pool(), built on first use. */
     explicit DecisionCore(const EngineConfig& config)
         : config_(config), abr_(config.abr), oca_(config.oca)
     {
     }
 
+    /** ABR's hash-map path runs on `pool` (the engine's own). */
+    DecisionCore(const EngineConfig& config, ThreadPool& pool)
+        : DecisionCore(config)
+    {
+        pool_ = &pool;
+    }
+
     const EngineConfig& config() const { return config_; }
     AbrController& abr() { return abr_; }
     OcaController& oca() { return oca_; }
+    /** The pool handed to AbrController::decide (nullptr: its default). */
+    ThreadPool* pool() const { return pool_; }
 
     /** Does `policy` ever reorder / need ABR instrumentation? */
     static bool policy_uses_abr(UpdatePolicy p);
@@ -172,6 +182,7 @@ class DecisionCore {
     EngineConfig config_;
     AbrController abr_;
     OcaController oca_;
+    ThreadPool* pool_ = nullptr;
 };
 
 /** Batch-to-compute accumulation now lives in stream/pending.h; the alias

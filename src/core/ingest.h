@@ -89,7 +89,8 @@ drive_batch(DecisionCore& core, const stream::EdgeBatch& batch, bool reorder,
 
     // 2. ABR instrumentation + decision latch for the following batches.
     if (DecisionCore::policy_uses_abr(policy)) {
-        const AbrDecision ad = core.abr().decide(batch.edges(), rb);
+        const AbrDecision ad =
+            core.abr().decide(batch.edges(), rb, core.pool());
         report.abr_active = ad.active;
         report.cad = ad.cad;
         report.instrumentation_cycles += ad.instrumentation_cycles;

@@ -4,8 +4,9 @@
  *
  * The pipeline already computes, per epoch, exactly which vertices an
  * incremental algorithm needs to look at: stream::PendingAccumulator
- * deduplicates every src/dst touched since the last hand-off, and
- * SnapshotStore::publish revisits only those vertices.  This view carries
+ * marks every src/dst touched since the last hand-off in a bitmap and
+ * reads it out ascending and unique, and SnapshotStore::publish revisits
+ * only those vertices.  This view carries
  * that same set alongside the topology so the compute phase can consume
  * it without a second bookkeeping channel: `DirtySetView` satisfies
  * graph::GraphReadPath (it forwards `num_vertices`/`degree`/`edges` to
@@ -14,8 +15,8 @@
  * full-vs-delta policy decision (DESIGN.md §14).
  *
  * Non-owning: the wrapped store and the dirty span must outlive the view
- * (per-epoch stack object by convention).  The dirty span must be sorted
- * and deduplicated — `is_dirty` binary-searches it — which is exactly
+ * (per-epoch stack object by convention).  The dirty span must be
+ * strictly increasing — `is_dirty` binary-searches it — which is exactly
  * what PendingAccumulator::hand_off produces in PendingWork::affected.
  * Callers wrap any read path directly: `DirtySetView<G>(g, dirty)`.
  */

@@ -19,8 +19,11 @@
  * (DESIGN.md §11.1).  A mark is written under the same ownership as the
  * row write it describes (the row lock on the baseline path, run
  * ownership on the reordered and USC paths), and only publication reads
- * or resets marks, on the ingest thread after the update's pool join —
- * so marks are plain integers, not atomics.
+ * or resets marks, after the update's pool join: each of its pool
+ * workers takes the marks of disjoint vertices (the dirty list is
+ * strictly increasing, and a vertex's two rows go to one worker), and the
+ * whole-graph reset runs on the ingest thread — so marks are plain
+ * integers, not atomics.
  */
 #ifndef IGS_GRAPH_EDGE_ROWS_H
 #define IGS_GRAPH_EDGE_ROWS_H

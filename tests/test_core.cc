@@ -62,11 +62,42 @@ TEST(Cad, ReorderedAndHashedPathsAgree)
     const auto edges = skewed_batch(5000, 3);
     const auto rb = stream::reorder_batch(edges, default_pool());
     const auto a = cad_from_reordered(rb, 64);
-    const auto b = cad_from_batch(edges, 64);
+    const auto b = cad_from_batch(edges, 64, default_pool());
     EXPECT_DOUBLE_EQ(a.cad_out, b.cad_out);
     EXPECT_DOUBLE_EQ(a.cad_in, b.cad_in);
     EXPECT_EQ(a.max_in_degree, b.max_in_degree);
     EXPECT_EQ(a.max_out_degree, b.max_out_degree);
+}
+
+TEST(Cad, HashedPathIsIdenticalOnOneTwoAndFourWorkers)
+{
+    // The engine hands ABR its own pool; the measurement, and so the
+    // latched decision, must not depend on that pool's size.
+    ThreadPool one(1);
+    ThreadPool two(2);
+    ThreadPool four(4);
+    for (const std::uint64_t seed : {5u, 6u}) {
+        const auto edges = skewed_batch(20000, seed);
+        const CadResult want = cad_from_batch(edges, 64, one);
+        EXPECT_GT(want.cad(), 0.0);
+        for (ThreadPool* pool : {&two, &four}) {
+            SCOPED_TRACE(pool->size());
+            const CadResult got = cad_from_batch(edges, 64, *pool);
+            EXPECT_EQ(got.cad_out, want.cad_out);
+            EXPECT_EQ(got.cad_in, want.cad_in);
+            EXPECT_EQ(got.max_out_degree, want.max_out_degree);
+            EXPECT_EQ(got.max_in_degree, want.max_in_degree);
+
+            AbrParams p;
+            p.lambda = 64;
+            p.threshold = want.cad();
+            AbrController abr(p);
+            const AbrDecision d = abr.decide(edges, nullptr, pool);
+            ASSERT_TRUE(d.cad.has_value());
+            EXPECT_EQ(d.cad->cad(), want.cad());
+            EXPECT_TRUE(abr.reordering());
+        }
+    }
 }
 
 TEST(Cad, MaxIsOverBothDirections)
@@ -435,7 +466,8 @@ TEST(Cad, PropertyMatchesNaiveOracleAndAbrAgrees)
         for (const std::uint32_t lambda : {1u, 4u, 16u, 64u}) {
             const double co = oracle_cad(out_deg, edges.size(), lambda);
             const double ci = oracle_cad(in_deg, edges.size(), lambda);
-            const CadResult got = cad_from_batch(edges, lambda);
+            const CadResult got =
+                cad_from_batch(edges, lambda, default_pool());
             EXPECT_DOUBLE_EQ(got.cad_out, co);
             EXPECT_DOUBLE_EQ(got.cad_in, ci);
 

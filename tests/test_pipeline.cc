@@ -7,10 +7,14 @@
  * hand-off, and the sim frontend's modeled overlap.  Publication copies
  * only what each row's change mark says changed; the seeded
  * SnapshotStore.* harness checks the snapshot against the live store
- * after every publication (seeds replay via $IGS_TEST_SEED).
+ * after every publication, and a publication on a thread pool against
+ * the one-thread form; the seeded hand-off test checks `affected`
+ * against sort + unique (seeds replay via $IGS_TEST_SEED).
  */
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <numeric>
 #include <thread>
@@ -275,33 +279,84 @@ targeted_edges(const Live& live, std::uint64_t num_hubs, Rng& rng)
     return edges;
 }
 
+/** `a` and `b` hold the same rows, entry by entry, weights bit for bit. */
+void
+expect_views_identical(const graph::SnapshotView& a,
+                       const graph::SnapshotView& b)
+{
+    ASSERT_EQ(a.num_vertices(), b.num_vertices());
+    EXPECT_EQ(a.num_edges(), b.num_edges());
+    EXPECT_EQ(a.epoch(), b.epoch());
+    for (VertexId v = 0; v < a.num_vertices(); ++v) {
+        for (Direction dir : {Direction::kOut, Direction::kIn}) {
+            const auto& ra = a.edges(v, dir);
+            const auto& rb = b.edges(v, dir);
+            ASSERT_EQ(ra.size(), rb.size())
+                << "vertex " << v << " dir " << to_string(dir);
+            for (std::size_t i = 0; i < ra.size(); ++i) {
+                ASSERT_TRUE(ra[i].id == rb[i].id &&
+                            std::bit_cast<std::uint32_t>(ra[i].weight) ==
+                                std::bit_cast<std::uint32_t>(rb[i].weight))
+                    << "vertex " << v << " dir " << to_string(dir)
+                    << " entry " << i;
+            }
+        }
+    }
+}
+
+void
+expect_stats_equal(const graph::PublishStats& a, const graph::PublishStats& b)
+{
+    EXPECT_EQ(a.epoch, b.epoch);
+    EXPECT_EQ(a.dirty_vertices, b.dirty_vertices);
+    EXPECT_EQ(a.copied_edges, b.copied_edges);
+    EXPECT_EQ(a.grown_vertices, b.grown_vertices);
+}
+
+/** One live store and the snapshot store published from it. */
+template <typename Live>
+struct Replica {
+    Live live = make_live<Live>(0);
+    graph::SnapshotStore store;
+};
+
 /**
  * Drive `Live` with a seeded stream through every update kernel and
  * publish after each group of 1-3 batches, checking snapshot == live
  * after every publication.  The stream's vertex space widens halfway,
  * and two publications are preceded by an apply_renumber.
+ *
+ * With `pooled`, a second replica receives the same batches, kernels and
+ * renumberings and publishes on `pooled` while the first publishes on the
+ * caller's thread; after every publication the two snapshots must be
+ * identical and their PublishStats equal.  Updates then run on one worker
+ * so the two live stores hold every row in the same order, and the
+ * vertex space is four times wider so the dirty sets and the first
+ * publication span several publication chunks.
  */
 template <typename Live>
 void
-snapshot_tracks_live(std::uint64_t seed)
+snapshot_tracks_live(std::uint64_t seed, ThreadPool* pooled = nullptr)
 {
-    ThreadPool pool(2);
+    ThreadPool pool(pooled != nullptr ? 1 : 2);
     stream::UscScratch scratch;
     stream::RealContext ctx(pool, &scratch);
     Rng rng(seed);
-    Live live = make_live<Live>(0);
-    graph::SnapshotStore store;
+    std::array<Replica<Live>, 2> replicas;
+    const std::size_t num_replicas = pooled != nullptr ? 2 : 1;
+    const std::uint64_t scale = pooled != nullptr ? 4 : 1;
+    Live& live = replicas[0].live;
     stream::PendingAccumulator pending;
 
     gen::StreamModel m;
-    m.num_vertices = 240;
+    m.num_vertices = 240 * scale;
     m.num_hubs = 6;
     m.hub_mass_dst = 0.5;
     m.delete_fraction = 0.2;
     m.weighted = true;
     m.seed = seed;
     gen::EdgeStreamGenerator narrow(m);
-    m.num_vertices = 400;
+    m.num_vertices = 400 * scale;
     m.seed = seed + 1;
     gen::EdgeStreamGenerator wide(m);
 
@@ -310,7 +365,8 @@ snapshot_tracks_live(std::uint64_t seed)
     for (int epoch = 1; epoch <= kEpochs; ++epoch) {
         const auto batches = 1 + rng.below(3);
         for (std::uint64_t b = 0; b < batches; ++b) {
-            auto edges = (epoch <= kEpochs / 2 ? narrow : wide).take(150);
+            auto edges =
+                (epoch <= kEpochs / 2 ? narrow : wide).take(150 * scale);
             if (live.num_vertices() > 0) {
                 const auto extra = targeted_edges(live, m.num_hubs, rng);
                 edges.insert(edges.end(), extra.begin(), extra.end());
@@ -320,21 +376,25 @@ snapshot_tracks_live(std::uint64_t seed)
             for (const StreamEdge& e : batch.edges()) {
                 max_id = std::max({max_id, e.src, e.dst});
             }
-            live.ensure_vertices(max_id + 1);
-            switch (rng.below(3)) {
-            case 0:
-                stream::apply_batch_baseline(live, batch, ctx);
-                break;
-            case 1:
-                stream::apply_batch_reordered(
-                    live, batch, stream::reorder_batch(batch.edges(), pool),
-                    ctx);
-                break;
-            default:
-                stream::apply_batch_usc(
-                    live, batch, stream::reorder_batch(batch.edges(), pool),
-                    ctx);
-                break;
+            const auto kernel = rng.below(3);
+            for (std::size_t r = 0; r < num_replicas; ++r) {
+                Live& l = replicas[r].live;
+                l.ensure_vertices(max_id + 1);
+                switch (kernel) {
+                case 0:
+                    stream::apply_batch_baseline(l, batch, ctx);
+                    break;
+                case 1:
+                    stream::apply_batch_reordered(
+                        l, batch, stream::reorder_batch(batch.edges(), pool),
+                        ctx);
+                    break;
+                default:
+                    stream::apply_batch_usc(
+                        l, batch, stream::reorder_batch(batch.edges(), pool),
+                        ctx);
+                    break;
+                }
             }
             pending.note_batch(batch);
         }
@@ -343,18 +403,32 @@ snapshot_tracks_live(std::uint64_t seed)
             std::vector<VertexId> l2p(live.num_vertices());
             std::iota(l2p.begin(), l2p.end(), VertexId{0});
             std::shuffle(l2p.begin(), l2p.end(), rng);
-            live.apply_renumber(l2p);
+            for (std::size_t r = 0; r < num_replicas; ++r) {
+                replicas[r].live.apply_renumber(l2p);
+            }
         }
-        const EpochId e = live.advance_epoch();
-        const stream::PendingWork work = pending.hand_off(e);
-        (void)store.publish(live, work.affected);
         SCOPED_TRACE("epoch " + std::to_string(epoch));
-        expect_snapshot_matches_live(store.view(), live);
+        EpochId e = 0;
+        for (std::size_t r = 0; r < num_replicas; ++r) {
+            e = replicas[r].live.advance_epoch();
+        }
+        const stream::PendingWork work = pending.hand_off(e);
+        const graph::PublishStats one_thread =
+            replicas[0].store.publish(live, work.affected);
+        expect_snapshot_matches_live(replicas[0].store.view(), live);
+        if (pooled != nullptr) {
+            Replica<Live>& p = replicas[1];
+            const graph::PublishStats fanned =
+                p.store.publish(p.live, work.affected, *pooled);
+            expect_stats_equal(fanned, one_thread);
+            expect_views_identical(p.store.view(), replicas[0].store.view());
+            expect_snapshot_matches_live(p.store.view(), p.live);
+        }
         if (::testing::Test::HasFailure()) {
             return;
         }
     }
-    EXPECT_GT(live.num_vertices(), 240u);
+    EXPECT_GT(live.num_vertices(), 240u * scale);
     if constexpr (std::is_same_v<Live, graph::HybridStore>) {
         // The stream crossed both promotion thresholds somewhere.
         EXPECT_GT(live.tier_census().vertices[graph::HybridEdgeSet::kHashed],
@@ -377,7 +451,109 @@ TEST(SnapshotStore, MatchesLiveAfterEveryPublication)
     }
 }
 
+TEST(SnapshotStore, PooledPublishMatchesOneWorkerPublish)
+{
+    ThreadPool pooled(4);
+    for (const std::uint64_t seed : harness_seeds({161, 162, 163})) {
+        SCOPED_TRACE(seed_trace(seed));
+        {
+            SCOPED_TRACE("AdjacencyList");
+            snapshot_tracks_live<graph::AdjacencyList>(seed, &pooled);
+        }
+        {
+            SCOPED_TRACE("HybridStore");
+            snapshot_tracks_live<graph::HybridStore>(seed, &pooled);
+        }
+    }
+}
+
 // ----------------------------------------------------- pending hand-off
+TEST(PendingAccumulator, HandOffMatchesSortedUniqueOracle)
+{
+    // Ids on the bitmap's word boundaries, small ids that repeat within a
+    // batch and across a window, and ids past every id noted so far (the
+    // bitmap grows to them).  Windows aggregate 1-3 batches, and the
+    // legacy take() is interleaved with hand_off.
+    for (const std::uint64_t seed : harness_seeds({171, 172, 173})) {
+        SCOPED_TRACE(seed_trace(seed));
+        Rng rng(seed);
+        stream::PendingAccumulator acc;
+        VertexId ceiling = 128;
+        std::uint64_t bid = 0;
+        for (int window = 1; window <= 40; ++window) {
+            SCOPED_TRACE("window " + std::to_string(window));
+            std::vector<VertexId> endpoints;
+            std::vector<StreamEdge> inserted;
+            std::vector<StreamEdge> deleted;
+            const auto batches = 1 + rng.below(3);
+            for (std::uint64_t b = 0; b < batches; ++b) {
+                const auto pick = [&]() -> VertexId {
+                    switch (rng.below(4)) {
+                    case 0: {
+                        constexpr VertexId kBoundary[] = {0, 63, 64, 127};
+                        return kBoundary[rng.below(4)];
+                    }
+                    case 1:
+                        // Revisit an id of this window, if any.
+                        if (!endpoints.empty()) {
+                            return endpoints[rng.below(endpoints.size())];
+                        }
+                        [[fallthrough]];
+                    case 2:
+                        return static_cast<VertexId>(rng.below(ceiling));
+                    default:
+                        return static_cast<VertexId>(ceiling +
+                                                     rng.below(ceiling));
+                    }
+                };
+                std::vector<StreamEdge> edges(rng.below(40));
+                for (StreamEdge& e : edges) {
+                    e.src = pick();
+                    endpoints.push_back(e.src);
+                    e.dst = pick();
+                    endpoints.push_back(e.dst);
+                    e.is_delete = rng.below(5) == 0;
+                    (e.is_delete ? deleted : inserted).push_back(e);
+                }
+                acc.note_batch(stream::EdgeBatch(++bid, std::move(edges)));
+            }
+            ceiling = std::min<VertexId>(ceiling * 2, VertexId{1} << 20);
+
+            std::sort(endpoints.begin(), endpoints.end());
+            endpoints.erase(std::unique(endpoints.begin(), endpoints.end()),
+                            endpoints.end());
+            const bool legacy = rng.below(3) == 0;
+            const auto epoch = static_cast<EpochId>(window);
+            const stream::PendingWork w =
+                legacy ? acc.take() : acc.hand_off(epoch);
+            EXPECT_EQ(w.affected, endpoints);
+            EXPECT_EQ(w.epoch, legacy ? 0u : epoch);
+            EXPECT_EQ(w.batches, batches);
+            ASSERT_EQ(w.inserted.size(), inserted.size());
+            ASSERT_EQ(w.deleted.size(), deleted.size());
+            for (std::size_t i = 0; i < inserted.size(); ++i) {
+                EXPECT_EQ(w.inserted[i].src, inserted[i].src);
+                EXPECT_EQ(w.inserted[i].dst, inserted[i].dst);
+            }
+            for (std::size_t i = 0; i < deleted.size(); ++i) {
+                EXPECT_EQ(w.deleted[i].src, deleted[i].src);
+                EXPECT_EQ(w.deleted[i].dst, deleted[i].dst);
+            }
+            EXPECT_TRUE(acc.empty());
+
+            // The hand-off cleared every word it read.
+            const stream::PendingWork again = acc.hand_off(epoch + 1);
+            EXPECT_TRUE(again.affected.empty());
+            EXPECT_TRUE(again.inserted.empty());
+            EXPECT_TRUE(again.deleted.empty());
+            EXPECT_EQ(again.batches, 0u);
+            if (::testing::Test::HasFailure()) {
+                return;
+            }
+        }
+    }
+}
+
 TEST(PendingAccumulator, HandOffOnEmptyAccumulatorIsEmptyButStamped)
 {
     stream::PendingAccumulator acc;

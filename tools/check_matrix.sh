@@ -5,8 +5,9 @@
 #   asan  ASan + UBSan   (-DIGS_SANITIZE=address,undefined, gcc or clang)
 #   tsan  ThreadSanitizer (-DIGS_SANITIZE=thread)
 #   tsan-pipeline  focused TSan deep-run of the depth>=2 pipeline tests
-#         (test_pipeline's concurrent publish/compute interleavings,
-#         DESIGN.md §11) repeated until-fail; shares the tsan build tree
+#         (test_pipeline's concurrent publish/compute interleavings and
+#         pooled snapshot publication, DESIGN.md §11) repeated
+#         until-fail; shares the tsan build tree
 #   asan-hybrid / tsan-hybrid  focused deep-runs of the hybrid-store
 #         backend tests (tier promotions under the contended lock and
 #         USC paths, DESIGN.md §12) repeated until-fail; share the asan
@@ -116,6 +117,8 @@ for leg in "${LEGS[@]}"; do
         # The plain tsan leg already runs test_pipeline once as part of
         # the full suite; this leg re-runs the pipeline/epoch tests
         # (which exercise the depth>=2 concurrent publish/compute path)
+        # and the SnapshotStore tests (pooled publication: pool workers
+        # refreshing disjoint dirty vertices' rows and change marks)
         # several times to widen schedule coverage.  Reuses the tsan
         # tree, so running after `tsan` costs no extra build.
         IGS_CHECK_BDIR="$ROOT/build-check-tsan"
