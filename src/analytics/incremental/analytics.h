@@ -77,7 +77,6 @@ class IncrementalAnalytics {
     const Bfs& bfs() const { return bfs_; }
     ComputeMeter& meter() { return meter_; }
     const ComputeMeter& meter() const { return meter_; }
-    const EpochDecision& last_decision() const { return last_; }
     std::uint64_t epochs() const { return epochs_; }
     std::uint64_t delta_epochs() const { return delta_epochs_; }
 
@@ -106,7 +105,6 @@ class IncrementalAnalytics {
         ++epochs_;
         delta_epochs_ += d.delta ? 1 : 0;
         record_telemetry(d);
-        last_ = d;
         return d;
     }
 
@@ -193,7 +191,6 @@ class IncrementalAnalytics {
     Sssp sssp_;
     Bfs bfs_;
     ComputeMeter meter_;
-    EpochDecision last_;
     bool warm_ = false;
     std::uint64_t epochs_ = 0;
     std::uint64_t delta_epochs_ = 0;

@@ -19,7 +19,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "common/annotations.h"
 #include "common/check.h"
@@ -126,12 +125,6 @@ class IGS_SCOPED_CAPABILITY SpinlockGuard {
     Spinlock& lock_;
 };
 
-/** A cache-line padded wrapper to avoid false sharing between counters. */
-template <typename T>
-struct alignas(64) Padded {
-    T value{};
-};
-
 /**
  * A fixed-size array of spinlocks (per-vertex/per-direction lock tables in
  * the graph structures).  Replacing the array wholesale via resize() is only
@@ -169,45 +162,6 @@ class SpinlockArray {
   private:
     std::unique_ptr<Spinlock[]> locks_;
     std::size_t size_ = 0;
-};
-
-/**
- * A striped lock table: maps a key to one of a fixed number of spinlocks.
- * Used where per-object locks would be too memory-hungry.
- */
-class StripedLocks {
-  public:
-    explicit StripedLocks(std::size_t stripes = 1024)
-        : locks_(round_up_pow2(stripes)), mask_(locks_.size() - 1)
-    {
-    }
-
-    Spinlock& for_key(std::uint64_t key) { return locks_[mix(key) & mask_].value; }
-
-    std::size_t size() const { return locks_.size(); }
-
-  private:
-    static std::size_t
-    round_up_pow2(std::size_t v)
-    {
-        std::size_t p = 1;
-        while (p < v) {
-            p <<= 1;
-        }
-        return p;
-    }
-
-    static std::uint64_t
-    mix(std::uint64_t x)
-    {
-        x ^= x >> 33;
-        x *= 0xff51afd7ed558ccdull;
-        x ^= x >> 33;
-        return x;
-    }
-
-    std::vector<Padded<Spinlock>> locks_;
-    std::size_t mask_;
 };
 
 } // namespace igs

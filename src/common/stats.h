@@ -2,7 +2,7 @@
  * @file
  * Small statistics helpers used by the characterization and bench harnesses
  * (geometric means for speedup aggregation, histograms for degree
- * distributions, Welford accumulation for repeated-run reporting).
+ * distributions).
  *
  * Thread-compatibility: these accumulators are deliberately unsynchronized
  * — each harness/worker owns its own instance and merges single-threaded.
@@ -60,38 +60,6 @@ max_of(const std::vector<double>& values)
     }
     return m;
 }
-
-/**
- * Online mean/variance accumulator (Welford).  Used to report
- * repeated-measurement stability in benches.
- */
-class Welford {
-  public:
-    void
-    add(double x)
-    {
-        ++n_;
-        const double delta = x - mean_;
-        mean_ += delta / static_cast<double>(n_);
-        m2_ += delta * (x - mean_);
-    }
-
-    std::size_t count() const { return n_; }
-    double mean() const { return mean_; }
-
-    double
-    variance() const
-    {
-        return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-    }
-
-    double stddev() const { return std::sqrt(variance()); }
-
-  private:
-    std::size_t n_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-};
 
 /**
  * Sparse integer histogram, e.g. N(k): number of vertices with degree k in

@@ -12,8 +12,8 @@
  *  - @ref Gauge — double with set / add / watermark (CAS max);
  *  - @ref Histogram — fixed bucket bounds chosen at registration; record()
  *    is a bounded scan plus one relaxed fetch_add;
- *  - @ref PhaseTimer + @ref ScopedPhase — wall-clock accumulation for
- *    harness phases (never part of golden comparisons).
+ *  - @ref PhaseTimer — wall-clock accumulation for harness phases
+ *    (never part of golden comparisons).
  *
  * Contract for hot paths (enforced by tests/test_telemetry.cc with
  * common/alloc_counter.h): after registration, Counter::inc,
@@ -45,7 +45,6 @@
 #include <vector>
 
 #include "common/mutex.h"
-#include "common/timer.h"
 
 namespace igs::telemetry {
 
@@ -195,19 +194,6 @@ class PhaseTimer {
   private:
     Gauge seconds_;
     Counter count_;
-};
-
-/** RAII wall-clock scope feeding a @ref PhaseTimer. */
-class ScopedPhase {
-  public:
-    explicit ScopedPhase(PhaseTimer& timer) : timer_(timer) {}
-    ~ScopedPhase() { timer_.add(timer_seconds_.seconds()); }
-    ScopedPhase(const ScopedPhase&) = delete;
-    ScopedPhase& operator=(const ScopedPhase&) = delete;
-
-  private:
-    PhaseTimer& timer_;
-    Timer timer_seconds_;
 };
 
 /**

@@ -50,7 +50,6 @@ class OcaController {
 
     const OcaParams& params() const { return params_; }
     bool aggregation_latched() const { return aggregate_; }
-    double last_overlap() const { return last_overlap_; }
 
     /**
      * Consume the locality probe of one batch's update phase.

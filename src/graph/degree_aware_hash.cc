@@ -1,7 +1,5 @@
 #include "graph/degree_aware_hash.h"
 
-#include <algorithm>
-
 namespace igs::graph {
 
 ApplyResult
@@ -12,6 +10,7 @@ DahEdgeSet::insert(Neighbor nbr, std::uint32_t hash_threshold)
     }
     ApplyResult r;
     r.len_before = static_cast<std::uint32_t>(array_.size());
+    r.written_at = 0;
     for (Neighbor& e : array_) {
         ++r.probes;
         if (e.id == nbr.id) {
@@ -34,6 +33,7 @@ DahEdgeSet::hash_insert(Neighbor nbr)
 {
     ApplyResult r;
     r.len_before = count_;
+    r.written_at = 0;
     if ((count_ + 1) * 4 >= table_.size() * 3) {
         grow_table();
     }
@@ -67,6 +67,7 @@ DahEdgeSet::remove(VertexId nbr_id)
                 array_.pop_back();
                 --count_;
                 r.found = true;
+                r.written_at = 0;
                 return r;
             }
         }
@@ -81,6 +82,7 @@ DahEdgeSet::remove(VertexId nbr_id)
         ++r.probes;
         if (table_[i].id == nbr_id) {
             r.found = true;
+            r.written_at = 0;
             --count_;
             // Backshift the rest of the cluster.
             std::size_t hole = i;
@@ -140,51 +142,14 @@ DahEdgeSet::grow_table()
     }
 }
 
-std::vector<Neighbor>
-DahEdgeSet::sorted() const
-{
-    std::vector<Neighbor> result;
-    result.reserve(count_);
-    for_each([&](Neighbor n) { result.push_back(n); });
-    std::sort(result.begin(), result.end(),
-              [](const Neighbor& a, const Neighbor& b) { return a.id < b.id; });
-    return result;
-}
-
-DegreeAwareHash::DegreeAwareHash(std::size_t num_vertices,
-                                 const StoreTuning& tuning)
-    : tuning_(tuning)
-{
-    ensure_vertices(num_vertices);
-}
-
-void
-DegreeAwareHash::ensure_vertices(std::size_t n)
-{
-    if (n <= out_.size()) {
-        return;
-    }
-    out_.resize(n);
-    in_.resize(n);
-    auto new_bids = std::make_unique<std::atomic<std::uint64_t>[]>(n);
-    for (std::size_t i = 0; i < latest_bid_size_; ++i) {
-        new_bids[i].store(latest_bid_[i].load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-    }
-    latest_bid_ = std::move(new_bids);
-    latest_bid_size_ = n;
-    // As in AdjacencyList: growth happens between batches, with no lock held.
-    out_locks_.resize(n);
-    in_locks_.resize(n);
-}
-
 ApplyResult
 DegreeAwareHash::apply_insert(VertexId v, Neighbor nbr, Direction dir)
 {
-    IGS_DCHECK(v < out_.size());
-    auto& set = dir == Direction::kOut ? out_[v] : in_[v];
+    const VertexId p = map_.to_physical(v);
+    auto& set = row(p, dir);
     // igs-lint: allow(hot-path-alloc) -- streamed insert is the workload
     const ApplyResult r = set.insert(nbr, tuning_.dah_hash_threshold);
+    marks_.lower(p, dir, r.written_at);
     if (!r.found && dir == Direction::kOut) {
         num_edges_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -194,9 +159,10 @@ DegreeAwareHash::apply_insert(VertexId v, Neighbor nbr, Direction dir)
 ApplyResult
 DegreeAwareHash::apply_remove(VertexId v, VertexId nbr_id, Direction dir)
 {
-    IGS_DCHECK(v < out_.size());
-    auto& set = dir == Direction::kOut ? out_[v] : in_[v];
+    const VertexId p = map_.to_physical(v);
+    auto& set = row(p, dir);
     const ApplyResult r = set.remove(nbr_id);
+    marks_.lower(p, dir, r.written_at);
     if (r.found && dir == Direction::kOut) {
         num_edges_.fetch_sub(1, std::memory_order_relaxed);
     }

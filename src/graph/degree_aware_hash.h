@@ -8,41 +8,36 @@
  * is migrated into an open-addressed hash table so duplicate checks become
  * O(1) instead of an O(degree) scan.
  *
- * Same engine-wide update semantics as @ref igs::graph::AdjacencyList
+ * The vertex table around the edge sets — locks, latest_bid, epoch,
+ * change marks, id map — is the one every store shares
+ * (graph/live_store.h), and so are the engine-wide update semantics
  * (weight accumulation on duplicates, insertions before deletions).
  */
 #ifndef IGS_GRAPH_DEGREE_AWARE_HASH_H
 #define IGS_GRAPH_DEGREE_AWARE_HASH_H
 
-#include <atomic>
 #include <cstdint>
 #include <iterator>
-#include <memory>
 #include <vector>
 
-#include "common/check.h"
-#include "common/spinlock.h"
 #include "common/types.h"
-#include "graph/adjacency_list.h"
+#include "graph/live_store.h"
 #include "graph/store_tuning.h"
 
 namespace igs::graph {
 
 /**
- * Per-vertex edge container that is an array below `kHashThreshold` and an
- * open-addressed hash table above it.
+ * Per-vertex edge container that is an array below a degree threshold
+ * (StoreTuning::dah_hash_threshold) and an open-addressed hash table
+ * above it.  ApplyResult::written_at is a conservative 0 on any write:
+ * a hash insert, a backshift deletion or a migration can move any entry
+ * of the view's slot-order walk.
  */
 class DahEdgeSet {
   public:
-    /** Default degree at which a vertex migrates from array to hash
-     *  storage; the effective value is runtime-tunable
-     *  (StoreTuning::dah_hash_threshold, same default). */
-    static constexpr std::uint32_t kHashThreshold = 32;
-
     /** See AdjacencyList::apply_insert.  `hash_threshold` is the
      *  array -> hash migration degree for this set. */
-    ApplyResult insert(Neighbor nbr,
-                       std::uint32_t hash_threshold = kHashThreshold);
+    ApplyResult insert(Neighbor nbr, std::uint32_t hash_threshold);
     /** See AdjacencyList::apply_remove. */
     ApplyResult remove(VertexId nbr_id);
 
@@ -155,27 +150,6 @@ class DahEdgeSet {
                     ConstIterator(nullptr, e, e));
     }
 
-    /** Visit every stored neighbor. */
-    template <typename Fn>
-    void
-    for_each(Fn&& fn) const
-    {
-        if (table_.empty()) {
-            for (const Neighbor& n : array_) {
-                fn(n);
-            }
-        } else {
-            for (const auto& slot : table_) {
-                if (slot.id != kInvalidVertex) {
-                    fn(Neighbor{slot.id, slot.weight});
-                }
-            }
-        }
-    }
-
-    /** Sorted materialized copy (tests / CSR building). */
-    std::vector<Neighbor> sorted() const;
-
   private:
     void migrate_to_hash();
     void grow_table();
@@ -198,85 +172,26 @@ class DahEdgeSet {
     std::uint32_t count_ = 0;
 };
 
-/** Dynamic directed graph with degree-aware hashed edge sets. */
-class DegreeAwareHash {
+/** Dynamic directed graph with degree-aware hashed edge sets.  Its
+ *  `edges()` range is unordered — hashed vertices yield slot order —
+ *  matching the unordered-adjacency contract of the other stores. */
+class DegreeAwareHash : public LiveStore<DahEdgeSet> {
   public:
     explicit DegreeAwareHash(std::size_t num_vertices = 0,
-                             const StoreTuning& tuning = {});
+                             const StoreTuning& tuning = {})
+        : LiveStore(num_vertices), tuning_(tuning)
+    {
+    }
 
     /** Replace the migration threshold (affects future inserts only). */
     void set_tuning(const StoreTuning& tuning) { tuning_ = tuning; }
     const StoreTuning& tuning() const { return tuning_; }
 
-    std::size_t num_vertices() const { return out_.size(); }
-    EdgeId num_edges() const { return num_edges_; }
-
-    /** Grow vertex space (single-threaded, between batches). */
-    void ensure_vertices(std::size_t n);
-
     ApplyResult apply_insert(VertexId v, Neighbor nbr, Direction dir);
     ApplyResult apply_remove(VertexId v, VertexId nbr_id, Direction dir);
 
-    Spinlock&
-    lock(VertexId v, Direction dir)
-    {
-        return dir == Direction::kOut ? out_locks_[v] : in_locks_[v];
-    }
-
-    std::uint32_t
-    degree(VertexId v, Direction dir) const
-    {
-        return edge_set(v, dir).size();
-    }
-
-    const DahEdgeSet&
-    edge_set(VertexId v, Direction dir) const
-    {
-        return dir == Direction::kOut ? out_[v] : in_[v];
-    }
-
-    /**
-     * Iterable neighbor range (graph::GraphReadPath), representation-
-     * blind across the array/hash tiers.  Unordered — hashed vertices
-     * yield slot order — matching the unordered-adjacency contract of
-     * the other backends' read paths.  Invalidated by any mutation of
-     * `v`'s `dir` set.
-     */
-    DahEdgeSet::View
-    edges(VertexId v, Direction dir) const
-    {
-        return edge_set(v, dir).view();
-    }
-
-    /** Sorted copy of a vertex's edges (tests / snapshots). */
-    std::vector<Neighbor>
-    sorted_edges(VertexId v, Direction dir) const
-    {
-        return edge_set(v, dir).sorted();
-    }
-
-    /** See AdjacencyList::latest_bid / exchange_latest_bid. */
-    std::uint64_t
-    latest_bid(VertexId v) const
-    {
-        return latest_bid_[v].load(std::memory_order_relaxed);
-    }
-
-    std::uint64_t
-    exchange_latest_bid(VertexId v, std::uint64_t bid)
-    {
-        return latest_bid_[v].exchange(bid, std::memory_order_relaxed);
-    }
-
   private:
-    std::vector<DahEdgeSet> out_;
-    std::vector<DahEdgeSet> in_;
-    SpinlockArray out_locks_;
-    SpinlockArray in_locks_;
-    std::unique_ptr<std::atomic<std::uint64_t>[]> latest_bid_;
-    std::size_t latest_bid_size_ = 0;
     StoreTuning tuning_;
-    std::atomic<EdgeId> num_edges_{0};
 };
 
 } // namespace igs::graph

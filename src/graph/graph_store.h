@@ -16,9 +16,10 @@
  * `epoch()` names the publication it was copied at.  Consumers can assert
  * they are computing on the epoch they were handed.
  *
- * Implementations: graph::AdjacencyList (live, mutable) and
- * graph::SnapshotView (immutable, copy-on-publish) — checked by
- * static_asserts in their headers' tests.
+ * Implementations: the live stores over graph::LiveStore (AdjacencyList,
+ * HybridStore, DegreeAwareHash; mutable) and graph::SnapshotView
+ * (immutable, copy-on-publish) — checked by static_asserts in their
+ * headers' tests.
  */
 #ifndef IGS_GRAPH_GRAPH_STORE_H
 #define IGS_GRAPH_GRAPH_STORE_H

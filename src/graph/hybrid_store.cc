@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/telemetry.h"
-#include "graph/edge_rows.h"
 
 namespace igs::graph {
 
@@ -287,47 +286,15 @@ HybridEdgeSet::grow_index()
     }
 }
 
-std::vector<Neighbor>
-HybridEdgeSet::sorted() const
-{
-    const auto v = view();
-    std::vector<Neighbor> result(v.begin(), v.end());
-    std::sort(result.begin(), result.end(),
-              [](const Neighbor& a, const Neighbor& b) { return a.id < b.id; });
-    return result;
-}
-
 // ------------------------------------------------------------------- store
 
 HybridStore::HybridStore(std::size_t num_vertices, const StoreTuning& tuning)
-    : tuning_(tuning)
+    : LiveStore(num_vertices), tuning_(tuning)
 {
     // Resolve the tier telemetry at construction so every run that
     // touches a HybridStore exports the same registry keys, whether or
     // not any vertex ever promoted.
     HybridTelemetry::get();
-    ensure_vertices(num_vertices);
-}
-
-void
-HybridStore::ensure_vertices(std::size_t n)
-{
-    if (n <= out_.size()) {
-        return;
-    }
-    out_.resize(n);
-    in_.resize(n);
-    marks_.grow(n);
-    auto new_bids = std::make_unique<std::atomic<std::uint64_t>[]>(n);
-    for (std::size_t i = 0; i < latest_bid_size_; ++i) {
-        new_bids[i].store(latest_bid_[i].load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-    }
-    latest_bid_ = std::move(new_bids);
-    latest_bid_size_ = n;
-    // As in AdjacencyList: growth happens between batches, no lock held.
-    out_locks_.resize(n);
-    in_locks_.resize(n);
 }
 
 ApplyResult
@@ -362,8 +329,7 @@ ApplyResult
 HybridStore::apply_insert(VertexId v, Neighbor nbr, Direction dir)
 {
     const VertexId p = map_.to_physical(v);
-    IGS_DCHECK(p < out_.size());
-    auto& set = dir == Direction::kOut ? out_[p] : in_[p];
+    auto& set = row(p, dir);
     const ApplyResult r = insert_into(set, nbr);
     marks_.lower(p, dir, r.written_at);
     if (!r.found && dir == Direction::kOut) {
@@ -376,8 +342,7 @@ ApplyResult
 HybridStore::apply_remove(VertexId v, VertexId nbr_id, Direction dir)
 {
     const VertexId p = map_.to_physical(v);
-    IGS_DCHECK(p < out_.size());
-    auto& set = dir == Direction::kOut ? out_[p] : in_[p];
+    auto& set = row(p, dir);
     const ApplyResult r = remove_from(set, nbr_id);
     marks_.lower(p, dir, r.written_at);
     if (r.found && dir == Direction::kOut) {
@@ -390,8 +355,7 @@ std::size_t
 HybridStore::apply_coalesced(VertexId v, Direction dir, FlatWeightTable& table)
 {
     const VertexId p = map_.to_physical(v);
-    IGS_DCHECK(p < out_.size());
-    auto& set = dir == Direction::kOut ? out_[p] : in_[p];
+    auto& set = row(p, dir);
     // Steps 2-3 (Fig 8): one scan of the edge data, draining table
     // entries that match existing edges (weight accumulates in place).
     const std::span<Neighbor> row = set.view_mut();
@@ -416,27 +380,6 @@ HybridStore::apply_coalesced(VertexId v, Direction dir, FlatWeightTable& table)
         num_edges_.fetch_add(appended, std::memory_order_relaxed);
     }
     return appended;
-}
-
-void
-HybridStore::apply_renumber(std::span<const VertexId> l2p)
-{
-    IGS_CHECK_MSG(l2p.size() == out_.size(),
-                  "apply_renumber: assignment must cover the vertex space");
-    const std::size_t n = out_.size();
-    // Move-permute the per-vertex records; heap arrays and hash indexes
-    // travel with their HybridEdgeSet, and edge payloads stay logical.
-    std::vector<HybridEdgeSet> new_out(n);
-    std::vector<HybridEdgeSet> new_in(n);
-    for (std::size_t l = 0; l < n; ++l) {
-        const VertexId p_old = map_.to_physical(static_cast<VertexId>(l));
-        new_out[l2p[l]] = std::move(out_[p_old]);
-        new_in[l2p[l]] = std::move(in_[p_old]);
-    }
-    out_ = std::move(new_out);
-    in_ = std::move(new_in);
-    marks_.renumber(map_, l2p);
-    map_.rebind(l2p);
 }
 
 HybridStore::TierCensus

@@ -30,29 +30,25 @@
  * All three tiers expose the edge set as one contiguous
  * std::span<const Neighbor>, so the store satisfies graph::GraphStore and
  * plugs into SnapshotStore publication and every analytics read path
- * unchanged.  Like AdjacencyList it keeps per-row change marks, and its
- * heap arrays grow by the shared rule of graph/edge_rows.h.  Telemetry: core.graph.tier_* (registered lazily on first
- * use so runs that never construct a HybridStore keep their golden
+ * unchanged.  The vertex table around the edge sets — locks, bids, epoch,
+ * change marks, id map — is the one every store shares
+ * (graph/live_store.h), and the heap arrays grow by the shared rule of
+ * graph/edge_rows.h.  Telemetry: core.graph.tier_* (registered lazily on
+ * first use so runs that never construct a HybridStore keep their golden
  * registry snapshots unchanged).
  */
 #ifndef IGS_GRAPH_HYBRID_STORE_H
 #define IGS_GRAPH_HYBRID_STORE_H
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "common/check.h"
 #include "common/flat_table.h"
-#include "common/spinlock.h"
 #include "common/types.h"
-#include "graph/adjacency_list.h" // ApplyResult
-#include "graph/edge_rows.h"
 #include "graph/graph_store.h"
+#include "graph/live_store.h"
 #include "graph/store_tuning.h"
-#include "graph/vertex_id_map.h"
 
 namespace igs::graph {
 
@@ -107,9 +103,6 @@ class HybridEdgeSet {
                    : std::span<Neighbor>(heap_.data(), count_);
     }
 
-    /** Sorted materialized copy (tests / CSR building). */
-    std::vector<Neighbor> sorted() const;
-
   private:
     void promote_to_sorted();
     void promote_to_hash();
@@ -141,45 +134,20 @@ class HybridEdgeSet {
 
 /**
  * Dynamic directed graph over @ref HybridEdgeSet per vertex/direction.
- * Drop-in peer of AdjacencyList for the real-time engine: same locking
- * surface, same latest_bid OCA support, same epoch tokens, same
- * @ref apply_coalesced USC surface (here the tiered insert keeps the hash
- * index consistent with the dense array), same change marks.
+ * Drop-in peer of AdjacencyList for the real-time engine: the same
+ * vertex table (locks, latest_bid, epoch, change marks, id map) and the
+ * same @ref apply_coalesced USC surface (here the tiered insert keeps
+ * the hash index consistent with the dense array).
  */
-class HybridStore {
+class HybridStore : public LiveStore<HybridEdgeSet> {
   public:
     explicit HybridStore(std::size_t num_vertices = 0,
                          const StoreTuning& tuning = {});
-
-    /** Movable (single-threaded only — not during a parallel update).
-     *  Mirrors AdjacencyList: the moved-from store is left empty. */
-    HybridStore(HybridStore&& other) noexcept
-        : out_(std::move(other.out_)), in_(std::move(other.in_)),
-          out_locks_(std::move(other.out_locks_)),
-          in_locks_(std::move(other.in_locks_)),
-          latest_bid_(std::move(other.latest_bid_)),
-          latest_bid_size_(other.latest_bid_size_),
-          epoch_(other.epoch_), tuning_(other.tuning_),
-          map_(std::move(other.map_)), marks_(std::move(other.marks_)),
-          num_edges_(other.num_edges_.exchange(0, std::memory_order_relaxed))
-    {
-        other.latest_bid_size_ = 0;
-        other.epoch_ = 0;
-        other.map_.reset();
-    }
-
-    HybridStore& operator=(HybridStore&&) = delete;
 
     /** Replace the tier thresholds.  Takes effect on future promotions
      *  only; call before the first insert for fully uniform behavior. */
     void set_tuning(const StoreTuning& tuning) { tuning_ = tuning; }
     const StoreTuning& tuning() const { return tuning_; }
-
-    std::size_t num_vertices() const { return out_.size(); }
-    EdgeId num_edges() const { return num_edges_; }
-
-    /** Grow vertex space (single-threaded, between batches). */
-    void ensure_vertices(std::size_t n);
 
     /** See AdjacencyList::apply_insert / apply_remove. */
     ApplyResult apply_insert(VertexId v, Neighbor nbr, Direction dir);
@@ -195,82 +163,11 @@ class HybridStore {
     std::size_t apply_coalesced(VertexId v, Direction dir,
                                 FlatWeightTable& table);
 
-    /** Per-vertex/per-direction lock for the baseline update path.
-     *  Indexed by physical row like AdjacencyList::lock. */
-    Spinlock&
-    lock(VertexId v, Direction dir)
-    {
-        const VertexId p = map_.to_physical(v);
-        return dir == Direction::kOut ? out_locks_[p] : in_locks_[p];
-    }
-
-    std::uint32_t
-    degree(VertexId v, Direction dir) const
-    {
-        return edge_set(v, dir).size();
-    }
-
-    /** Immutable contiguous view of `v`'s edges (any tier). */
-    std::span<const Neighbor>
-    edges(VertexId v, Direction dir) const
-    {
-        return edge_set(v, dir).view();
-    }
-
-    const HybridEdgeSet&
-    edge_set(VertexId v, Direction dir) const
-    {
-        const VertexId p = map_.to_physical(v);
-        return dir == Direction::kOut ? out_[p] : in_[p];
-    }
-
     /** Current representation tier of `v`'s `dir` edge set. */
     std::uint8_t tier(VertexId v, Direction dir) const
     {
         return edge_set(v, dir).tier();
     }
-
-    /** See AdjacencyList::latest_bid / exchange_latest_bid. */
-    std::uint64_t
-    latest_bid(VertexId v) const
-    {
-        return latest_bid_[v].load(std::memory_order_relaxed);
-    }
-
-    std::uint64_t
-    exchange_latest_bid(VertexId v, std::uint64_t bid)
-    {
-        return latest_bid_[v].exchange(bid, std::memory_order_relaxed);
-    }
-
-    /** Epoch token (see AdjacencyList::epoch). */
-    EpochId epoch() const { return epoch_; }
-    EpochId advance_epoch() { return ++epoch_; }
-
-    /** See AdjacencyList::take_change_mark / clear_change_marks. */
-    std::uint32_t
-    take_change_mark(VertexId v, Direction dir)
-    {
-        return marks_.take(map_.to_physical(v), dir);
-    }
-
-    void clear_change_marks() { marks_.clear(); }
-
-    /** Sorted copy of an edge set (tests / CSR building). */
-    std::vector<Neighbor>
-    sorted_edges(VertexId v, Direction dir) const
-    {
-        return edge_set(v, dir).sorted();
-    }
-
-    /** See AdjacencyList::apply_renumber — move-permutes the per-vertex
-     *  HybridEdgeSet records (any tier; the heap arrays, hash indexes and
-     *  change marks travel with them).  Declared backend capability
-     *  (tools/layers.toml [semantic.backends.HybridStore]). */
-    void apply_renumber(std::span<const VertexId> l2p);
-
-    /** The logical/physical id map (identity until `apply_renumber`). */
-    const VertexIdMap& id_map() const { return map_; }
 
     /** Out-direction tier population (vertices per tier). */
     struct TierCensus {
@@ -282,55 +179,12 @@ class HybridStore {
      *  The engine calls this at each epoch publication. */
     void publish_tier_telemetry() const;
 
-    /**
-     * Structural equality against any store exposing
-     * `num_vertices`/`sorted_edges` (order-insensitive; weights within
-     * the same tolerance AdjacencyList::same_topology uses).
-     */
-    template <typename Other>
-    bool
-    same_topology(const Other& other) const
-    {
-        if (num_vertices() != other.num_vertices()) {
-            return false;
-        }
-        for (VertexId v = 0; v < num_vertices(); ++v) {
-            for (Direction dir : {Direction::kOut, Direction::kIn}) {
-                const auto a = sorted_edges(v, dir);
-                const auto b = other.sorted_edges(v, dir);
-                if (a.size() != b.size()) {
-                    return false;
-                }
-                for (std::size_t i = 0; i < a.size(); ++i) {
-                    if (a[i].id != b[i].id) {
-                        return false;
-                    }
-                    const float d = a[i].weight - b[i].weight;
-                    if (d > 1e-4f || d < -1e-4f) {
-                        return false;
-                    }
-                }
-            }
-        }
-        return true;
-    }
-
   private:
     /** insert/remove wrappers that record tier telemetry. */
     ApplyResult insert_into(HybridEdgeSet& set, Neighbor nbr);
     ApplyResult remove_from(HybridEdgeSet& set, VertexId nbr_id);
 
-    std::vector<HybridEdgeSet> out_;
-    std::vector<HybridEdgeSet> in_;
-    SpinlockArray out_locks_;
-    SpinlockArray in_locks_;
-    std::unique_ptr<std::atomic<std::uint64_t>[]> latest_bid_;
-    std::size_t latest_bid_size_ = 0;
-    EpochId epoch_ = 0;
     StoreTuning tuning_;
-    VertexIdMap map_;
-    ChangeMarks marks_;
-    std::atomic<EdgeId> num_edges_{0};
 };
 
 static_assert(GraphStore<HybridStore>,

@@ -24,8 +24,7 @@ namespace igs::graph {
 struct StoreTuning {
     /**
      * DegreeAwareHash: degree at which a vertex's edge array migrates to
-     * an open-addressed hash table (historically
-     * DahEdgeSet::kHashThreshold).
+     * an open-addressed hash table.
      */
     std::uint32_t dah_hash_threshold = 32;
 

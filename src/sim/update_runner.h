@@ -74,7 +74,6 @@ class UpdateRunner {
     const HauSimulator& hau() const { return hau_; }
 
     ExecSim& exec() { return exec_; }
-    const SwCostParams& sw_costs() const { return sw_; }
     const MachineParams& machine() const { return machine_; }
 
   private:

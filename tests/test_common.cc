@@ -125,23 +125,6 @@ TEST(Stats, MeanAndMax)
     EXPECT_DOUBLE_EQ(max_of({1.0, 5.0, 3.0}), 5.0);
 }
 
-TEST(Stats, WelfordMatchesDirectComputation)
-{
-    Welford w;
-    const std::vector<double> xs{1.0, 2.0, 4.0, 8.0, 16.0};
-    for (double x : xs) {
-        w.add(x);
-    }
-    EXPECT_EQ(w.count(), xs.size());
-    EXPECT_NEAR(w.mean(), 6.2, 1e-9);
-    double var = 0.0;
-    for (double x : xs) {
-        var += (x - 6.2) * (x - 6.2);
-    }
-    var /= static_cast<double>(xs.size() - 1);
-    EXPECT_NEAR(w.variance(), var, 1e-9);
-}
-
 TEST(Stats, HistogramBasics)
 {
     Histogram h;
@@ -197,15 +180,6 @@ TEST(Spinlock, TryLock)
     lock.unlock();
     EXPECT_TRUE(lock.try_lock());
     lock.unlock();
-}
-
-TEST(StripedLocks, StableMapping)
-{
-    StripedLocks locks(64);
-    EXPECT_GE(locks.size(), 64u);
-    Spinlock* a = &locks.for_key(12345);
-    Spinlock* b = &locks.for_key(12345);
-    EXPECT_EQ(a, b);
 }
 
 // ---------------------------------------------------------- thread pool

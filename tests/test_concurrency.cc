@@ -109,25 +109,6 @@ TEST(ConcurrencySpinlock, TryLockRespectsHolder)
     lock.unlock();
 }
 
-TEST(ConcurrencySpinlock, StripedLocksSerializePerStripe)
-{
-    StripedLocks locks(64);
-    std::vector<std::uint64_t> counters(16, 0);
-    constexpr std::size_t kIters = 20000;
-    on_threads(kThreads, [&](std::size_t) {
-        for (std::size_t i = 0; i < kIters; ++i) {
-            const std::uint64_t key = i % counters.size();
-            SpinlockGuard lk(locks.for_key(key));
-            ++counters[key];
-        }
-    });
-    std::uint64_t total = 0;
-    for (const std::uint64_t c : counters) {
-        total += c;
-    }
-    EXPECT_EQ(total, kThreads * kIters);
-}
-
 TEST(ConcurrencySpinlock, SpinlockArrayIndexesIndependentLocks)
 {
     SpinlockArray locks(4);

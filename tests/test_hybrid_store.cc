@@ -163,19 +163,6 @@ TEST(HybridStore, DeleteOfMissingIsNoOpAtEveryTier)
     EXPECT_EQ(g.num_edges(), before);
 }
 
-TEST(HybridStore, EnsureVerticesPreservesEdgesAndBids)
-{
-    HybridStore g(2);
-    g.apply_insert(0, {1, 2.0f}, kOut);
-    g.apply_insert(1, {0, 3.0f}, kIn);
-    g.exchange_latest_bid(1, 42);
-    g.ensure_vertices(100);
-    EXPECT_EQ(g.num_vertices(), 100u);
-    EXPECT_EQ(g.degree(0, kOut), 1u);
-    EXPECT_FLOAT_EQ(g.edges(1, kIn).front().weight, 3.0f);
-    EXPECT_EQ(g.latest_bid(1), 42u);
-}
-
 TEST(HybridStore, TierCensusCountsOutSets)
 {
     HybridStore g(3, tight_tuning());
@@ -213,21 +200,6 @@ TEST(HybridStore, ApplyCoalescedMatchesIndividualInserts)
     EXPECT_EQ(appended, 4u);
     EXPECT_EQ(coalesced.num_edges(), individual.num_edges());
     EXPECT_TRUE(coalesced.same_topology(individual));
-}
-
-TEST(HybridStore, MoveTransfersState)
-{
-    HybridStore a(4, tight_tuning());
-    for (VertexId t = 0; t < 12; ++t) {
-        a.apply_insert(0, {t, 1.0f}, kOut);
-    }
-    a.advance_epoch();
-    HybridStore b(std::move(a));
-    EXPECT_EQ(b.num_vertices(), 4u);
-    EXPECT_EQ(b.num_edges(), 12u);
-    EXPECT_EQ(b.tier(0, kOut), HybridEdgeSet::kHashed);
-    EXPECT_EQ(b.epoch(), 1u);
-    EXPECT_EQ(a.num_edges(), 0u);
 }
 
 // ------------------------------------------- randomized reference model

@@ -3,8 +3,8 @@
  * Tests for the vertex-id indirection layer and input-aware locality
  * renumbering (DESIGN.md §16): VertexIdMap semantics, planner
  * determinism, the LocalityMonitor's skew gate / warmup / cooldown /
- * re-fire hysteresis, permutation invariance of both engine backends'
- * logical reads under apply_renumber, engine-level trigger behavior
+ * re-fire hysteresis, permutation invariance of every store's logical
+ * reads under apply_renumber, engine-level trigger behavior
  * (hub-heavy fires, uniform never does, renumber-off is bit-identical),
  * and incremental PageRank/SSSP/BFS state surviving renumbers
  * mid-stream.
@@ -29,6 +29,7 @@
 #include "core/engine.h"
 #include "gen/edge_stream.h"
 #include "graph/adjacency_list.h"
+#include "graph/degree_aware_hash.h"
 #include "graph/hybrid_store.h"
 #include "graph/renumber.h"
 #include "graph/vertex_id_map.h"
@@ -59,6 +60,7 @@ using testutil::tight_tuning;
 
 // The engine's renumber hook is gated on this shape; both engine
 // backends must satisfy it or the trigger silently becomes a no-op.
+// DegreeAwareHash inherits it from the same vertex table.
 template <typename G>
 concept Renumberable = requires(G& g, std::span<const VertexId> l2p) {
     g.apply_renumber(l2p);
@@ -66,6 +68,7 @@ concept Renumberable = requires(G& g, std::span<const VertexId> l2p) {
 };
 static_assert(Renumberable<graph::AdjacencyList>);
 static_assert(Renumberable<graph::HybridStore>);
+static_assert(Renumberable<graph::DegreeAwareHash>);
 
 std::vector<VertexId>
 random_permutation(std::size_t n, std::uint64_t seed)
@@ -437,6 +440,16 @@ TEST(RenumberBackends, HybridStoreReadsInvariant)
         SCOPED_TRACE(seed_trace(seed));
         graph::HybridStore g(300, tight_tuning());
         graph::HybridStore twin(300, tight_tuning());
+        expect_renumber_invariance(g, twin, seed);
+    }
+}
+
+TEST(RenumberBackends, DegreeAwareHashReadsInvariant)
+{
+    for (const std::uint64_t seed : harness_seeds({231, 232})) {
+        SCOPED_TRACE(seed_trace(seed));
+        graph::DegreeAwareHash g(300, tight_tuning());
+        graph::DegreeAwareHash twin(300, tight_tuning());
         expect_renumber_invariance(g, twin, seed);
     }
 }

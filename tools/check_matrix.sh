@@ -131,20 +131,21 @@ for leg in "${LEGS[@]}"; do
         # promotions move edges between the inline record, the sorted
         # heap array and the hash index, so the randomized and
         # cross-backend suites are re-run until-fail to shake out
-        # lifetime bugs.  Reuses the asan tree (no extra build after
-        # `asan`).
+        # lifetime bugs, with the shared vertex table's contract suite
+        # (its bid and lock arrays grow by reallocation).  Reuses the
+        # asan tree (no extra build after `asan`).
         IGS_CHECK_BDIR="$ROOT/build-check-asan"
-        CTEST_EXTRA=(-R 'Hybrid|CrossBackend' --repeat until-fail:3)
+        CTEST_EXTRA=(-R 'Hybrid|CrossBackend|LiveStoreContract' --repeat until-fail:3)
         run_leg asan-hybrid -DIGS_SANITIZE=address,undefined
         unset IGS_CHECK_BDIR CTEST_EXTRA
         ;;
       tsan-hybrid)
         # Focused TSan deep-run of the hybrid backend under contention:
-        # the contended baseline/USC kernels over HybridStore and the
-        # backend-selectable engine (pipeline depth 2 included).  Reuses
-        # the tsan tree.
+        # the contended baseline/USC kernels over HybridStore, the
+        # backend-selectable engine (pipeline depth 2 included) and the
+        # shared vertex table's contract suite.  Reuses the tsan tree.
         IGS_CHECK_BDIR="$ROOT/build-check-tsan"
-        CTEST_EXTRA=(-R 'Hybrid|CrossBackend' --repeat until-fail:3)
+        CTEST_EXTRA=(-R 'Hybrid|CrossBackend|LiveStoreContract' --repeat until-fail:3)
         run_leg tsan-hybrid -DIGS_SANITIZE=thread
         unset IGS_CHECK_BDIR CTEST_EXTRA
         ;;

@@ -227,13 +227,14 @@ def _entry_points(model, registrars, engine_classes, graph_params,
 def _resolve(model, ctx, binding, call):
     """[(FunctionInfo, new_binding)] candidate targets of a call, in
     decreasing confidence: receiver-typed members, class-qualified
-    statics, own-class members, name-distinct src free functions."""
+    statics, own-class members (inherited ones included), name-distinct
+    src free functions."""
     out = []
     rcls = _receiver_class_name(model, ctx, binding, call.receiver)
     if rcls is not None:
         ci = model.find_class(rcls)
         if ci is not None:
-            for tf in ci.members.get(call.name, ()):
+            for tf in model.members(ci, call.name):
                 out.append((tf, {}))
         return out
     if call.receiver is not None:
@@ -241,15 +242,16 @@ def _resolve(model, ctx, binding, call):
     if call.qualifier is not None:
         ci = model.find_class(call.qualifier.split("::")[-1])
         if ci is not None:
-            for tf in ci.members.get(call.name, ()):
+            for tf in model.members(ci, call.name):
                 out.append((tf, {}))
             return out
         for tf in model.by_name.get(call.name, ()):
             if tf.cls is None and tf.file.rel.startswith("src/"):
                 out.append((tf, {}))
         return out
-    if ctx.cls is not None and call.name in ctx.cls.members:
-        for tf in ctx.cls.members[call.name]:
+    own = model.members(ctx.cls, call.name) if ctx.cls is not None else []
+    if own:
+        for tf in own:
             out.append((tf, dict(binding)))
         return out
     for tf in model.by_name.get(call.name, ()):

@@ -158,6 +158,11 @@ CASES = {
         "hot_path_escape": {"hot-path-alloc src/m/helpers.h:9",
                             "hot-path-block src/m/helpers.h:15",
                             "hot-path-throw src/m/helpers.h:23"},
+        # A backend's surface includes what it inherits: the base class
+        # template supplies it (clean), or lacks a member (the finding).
+        "inherited_missing_member": {
+            "backend-contract src/graph/mini_store.h:19"},
+        "inherited_surface": set(),
         "leaked_view": {"snapshot-view-escape src/app/leak.cc:14",
                         "snapshot-view-escape src/app/leak.cc:22"},
         "missing_capability": {
@@ -190,6 +195,7 @@ NEEDLES = {
     "backend_hot_alloc": ("[backend: FancyStore]", "![backend: PlainStore]"),
     "compute_mutates_live": ("apply_insert",),
     "compute_reads_live_graph": ("[backend: MiniStore]",),
+    "inherited_missing_member": ("'degree'", "!'ensure_vertices'"),
     "missing_role_coverage": ("OtherStore",),
     "narrowing_overflow": ("5000000000",),
     "relaxed_publish": ("tsan-pipeline",),

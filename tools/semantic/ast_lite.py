@@ -227,16 +227,40 @@ class _Parser:
         while k < len(toks) and toks[k].kind == "id" and \
                 toks[k].text == "final":
             k += 1
+        bases = []
         if k < len(toks) and toks[k].text == ":":
-            while k < len(toks) and toks[k].text not in ("{", ";"):
-                k += 1
+            k, bases = self._base_clause(k + 1)
         if k >= len(toks) or toks[k].text != "{":
             return -1
         ci = ClassInfo(name, self.namespace(), self.fm, line,
                        template_params or ())
+        ci.bases = bases
         self.model.add_class(ci)
         self.scopes.append(_Scope("class", name, ci))
         return k + 1
+
+    def _base_clause(self, k):
+        """Base-class simple names of the clause starting at index k (just
+        past ':'), template arguments dropped: `public LiveStore<X>,
+        ::a::B` -> ['LiveStore', 'B'].  Returns (index of the '{' or ';'
+        that ends the clause, names)."""
+        toks = self.toks
+        names = []
+        last = None
+        while k < len(toks) and toks[k].text not in ("{", ";"):
+            t = toks[k]
+            if t.text == "<":
+                k = max(k, match_angle(toks, k))
+            elif t.text == ",":
+                names.append(last)
+                last = None
+            elif t.kind == "id" and t.text not in (
+                    "public", "protected", "private", "virtual"):
+                last = t.text
+            k += 1
+        if last is not None:
+            names.append(last)
+        return k, [n for n in names if n]
 
     def _try_function(self, stmt, brace_idx, template_params):
         """Does the statement before `{` parse as a function signature?

@@ -54,6 +54,7 @@ class ClassInfo:
         self.line = line
         self.template_params = list(template_params)
         self.synthetic = synthetic          # inferred from out-of-line defs
+        self.bases = []                     # base-class simple names
         self.members = {}                   # simple name -> [FunctionInfo]
         self.fields = {}                    # field name -> type base name
         self.field_lines = {}               # field name -> line
@@ -66,9 +67,6 @@ class ClassInfo:
 
     def add_member(self, fn):
         self.members.setdefault(fn.name, []).append(fn)
-
-    def member_names(self):
-        return set(self.members)
 
     def __repr__(self):
         return f"<class {self.qual}>"
@@ -201,6 +199,37 @@ class Model:
         ranked = sorted(cands, key=lambda ci: (
             ci.synthetic, not ci.file.rel.startswith("src/")))
         return ranked[0]
+
+    def lineage(self, ci):
+        """`ci` then its base classes (breadth-first, each once); bases
+        the model never parsed (std::, gtest) are skipped."""
+        out = [ci]
+        for c in out:
+            for b in c.bases:
+                bc = self.find_class(b)
+                if bc is not None and bc not in out:
+                    out.append(bc)
+        return out
+
+    def members(self, ci, name):
+        """The member functions `name` of `ci`: its own, else those of
+        the nearest base declaring it (a derived member hides the
+        base's, as in C++ name lookup)."""
+        for c in self.lineage(ci):
+            if name in c.members:
+                return c.members[name]
+        return []
+
+    def member_names(self, ci):
+        """Every member function name of `ci`, inherited ones included."""
+        return {n for c in self.lineage(ci) for n in c.members}
+
+    def field_type(self, ci, name):
+        """Type base name of field `name` of `ci` or a base, or None."""
+        for c in self.lineage(ci):
+            if name in c.fields:
+                return c.fields[name]
+        return None
 
     def src_functions(self):
         return [f for f in self.functions if f.file.rel.startswith("src/")]

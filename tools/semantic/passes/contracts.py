@@ -51,7 +51,7 @@ def run(model, config, findings):
                 f"({bcfg.get('header', '?')}) was not found in the "
                 f"parsed sources")
             continue
-        surface = ci.member_names()
+        surface = model.member_names(ci)
         row["detected"] = sorted(p for p in probed if p in surface)
         # Unconditional engine surface.
         if row["engine_backend"]:
@@ -93,7 +93,7 @@ def run(model, config, findings):
         if p in probed:
             continue
         defined_somewhere = any(
-            p in model.find_class(b).member_names()
+            p in model.member_names(model.find_class(b))
             for b in backends_cfg if model.find_class(b) is not None)
         if not defined_somewhere:
             add(findings, fm, line, "contract-probe-dangling",

@@ -75,7 +75,7 @@ def run(model, config, findings):
         seen.add(key)
         if not fn.file.rel.startswith("src/"):
             continue
-        dead = _dead_ranges(fn, binding, backends)
+        dead = _dead_ranges(model, fn, binding, backends)
         _scan_body(model, fn, binding, backend, dead, findings)
         for callee, callee_binding in _callees(model, fn, binding,
                                                backends, dead,
@@ -134,8 +134,9 @@ def _receiver_class_name(model, fn, binding, receiver):
         return None
     if receiver in binding:
         return binding[receiver]
-    if fn.cls is not None and receiver in fn.cls.fields:
-        base = fn.cls.fields[receiver]
+    base = model.field_type(fn.cls, receiver) if fn.cls is not None \
+        else None
+    if base is not None:
         return binding.get(base, base)
     for tb, name, _full in fn.params:
         if name == receiver:
@@ -147,21 +148,23 @@ def _receiver_class_name(model, fn, binding, receiver):
     return None
 
 
-def _dead_ranges(fn, binding, backends):
+def _dead_ranges(model, fn, binding, backends):
     """Token ranges pruned by `if constexpr (requires ...)` under this
     binding: the branch whose probe outcome contradicts the bound
-    backend's member surface is not instantiated."""
+    backend's member surface (inherited members included) is not
+    instantiated."""
     dead = []
     if fn.body is None:
         return dead
     toks = fn.file.tokens
     for br in ast_lite.iter_requires_branches(toks, *fn.body):
-        cname = _receiver_class_name(None, fn, binding, br.receiver) \
+        cname = _receiver_class_name(model, fn, binding, br.receiver) \
             if br.receiver is not None else None
         if cname is None or cname not in backends:
             continue
-        has = all(p in backends[cname].members or
-                  p in backends[cname].fields
+        ci = backends[cname]
+        surface = model.member_names(ci)
+        has = all(p in surface or model.field_type(ci, p) is not None
                   for p in br.probes)
         taken_then = has != br.negated
         if taken_then:
@@ -234,18 +237,19 @@ def _resolve(model, fn, binding, call):
     cname = _receiver_class_name(model, fn, binding, call.receiver)
     if cname is not None:
         ci = model.find_class(cname)
-        return [(tf, {}) for tf in ci.members.get(call.name, ())] \
+        return [(tf, {}) for tf in model.members(ci, call.name)] \
             if ci is not None else []
     if call.receiver is not None:
         return [(tf, {}) for tf in model.by_name.get(call.name, ())
                 if tf.cls is not None and tf.file.rel.startswith("src/")]
-    if call.qualifier is None and fn.cls is not None and \
-            call.name in fn.cls.members:
-        return [(tf, dict(binding)) for tf in fn.cls.members[call.name]]
+    own = model.members(fn.cls, call.name) \
+        if call.qualifier is None and fn.cls is not None else []
+    if own:
+        return [(tf, dict(binding)) for tf in own]
     qual = model.find_class(call.qualifier.split("::")[-1]) \
         if call.qualifier else None
     if qual is not None:
-        return [(tf, {}) for tf in qual.members.get(call.name, ())]
+        return [(tf, {}) for tf in model.members(qual, call.name)]
     return [(tf, {}) for tf in model.by_name.get(call.name, ())
             if tf.file.rel.startswith("src/") and tf.body is not None]
 
