@@ -98,6 +98,17 @@ TEST(AdjacencyList, SameTopologyIsOrderInsensitive)
     EXPECT_FALSE(a.same_topology(b));
 }
 
+TEST(AdjacencyList, MoveTransfersState)
+{
+    AdjacencyList a(4);
+    a.apply_insert(0, {1, 1.0f}, Direction::kOut);
+    a.exchange_latest_bid(3, 5);
+    AdjacencyList b(std::move(a));
+    EXPECT_EQ(b.num_vertices(), 4u);
+    EXPECT_EQ(b.num_edges(), 1u);
+    EXPECT_EQ(b.latest_bid(3), 5u);
+}
+
 // --------------------------------------------------- degree-aware hash
 TEST(DegreeAwareHash, MigratesToHashAtThreshold)
 {

@@ -18,6 +18,7 @@
 #include <chrono>
 #include <numeric>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -931,6 +932,28 @@ TEST(SimEnginePipeline, NoHidingAtDepthOne)
     engine.note_compute_round(r1.update.cycles * 100);
     const auto r2 = engine.ingest(pipeline_batch(2, 800, 96));
     EXPECT_EQ(r2.update_hidden_cycles, 0u);
+}
+
+// ----------------------------------------------------------- move fix
+TEST(AdjacencyListMove, MoveConstructionTransfersAndZeroesSource)
+{
+    graph::AdjacencyList a(16);
+    a.apply_insert(3, {4, 1.5f}, Direction::kOut);
+    a.apply_insert(4, {3, 1.5f}, Direction::kIn);
+    a.advance_epoch();
+    graph::AdjacencyList b(std::move(a));
+    EXPECT_EQ(b.num_vertices(), 16u);
+    EXPECT_EQ(b.num_edges(), 1u);
+    EXPECT_EQ(b.epoch(), 1u);
+    EXPECT_EQ(b.degree(3, Direction::kOut), 1u);
+    // The moved-from graph is empty and reusable, not half-alive.
+    EXPECT_EQ(a.num_vertices(), 0u);   // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(a.num_edges(), 0u);
+    EXPECT_EQ(a.epoch(), 0u);
+    a.ensure_vertices(4);
+    a.apply_insert(0, {1, 1.0f}, Direction::kOut);
+    EXPECT_EQ(a.num_edges(), 1u);
+    static_assert(!std::is_move_assignable_v<graph::AdjacencyList>);
 }
 
 } // namespace
