@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "analytics/compute_meter.h"
+#include "common/check.h"
 #include "common/types.h"
 #include "graph/dirty_set_view.h"
 #include "graph/graph_store.h"
@@ -90,7 +91,8 @@ struct RankState {
  * or Bfs's hop counts (D = std::uint32_t) — and the delta round both
  * kernels run over it (DESIGN.md §14.1).  The value type decides the
  * relaxation step (dist + weight vs hops + 1) and whether insertions
- * can raise a value.
+ * can raise a value.  Precondition: edge weights are non-negative (as
+ * static_sssp assumes); the insertion bound below relies on it.
  *
  * Next to every settled value the state keeps the shortest-path tree:
  * `parent[v]` is the source of the relaxation that last lowered
@@ -106,8 +108,15 @@ struct RankState {
  *    it unexamined is safe;
  *  - the seeds' subtrees (w with parent[w] == v, transitively) reset to
  *    unreached and re-seed from their intact in-boundary;
- *  - relaxation from there and from the inserted edges' sources runs
- *    to fixpoint.
+ *  - an inserted edge (u, v) pushes u only if
+ *    step(value[u], e.weight) < value[v] after the trim.  Weights are
+ *    non-negative and accumulate under monotone float rounding, so the
+ *    stored weight of (u, v) is at least every weight inserted since it
+ *    was last created, and every older edge already meets the previous
+ *    fixpoint: a source failing the test for all its inserted edges
+ *    cannot lower any value until relaxation lowers its own value,
+ *    which pushes it;
+ *  - relaxation from there runs to fixpoint.
  * Every untagged value is still the path sum along its intact tree
  * path, so relaxation settles on the least fixpoint the static kernels
  * compute — bit-for-bit, not within a tolerance: both take the min over
@@ -194,6 +203,7 @@ class PathState {
         }
         if constexpr (kWeighted) {
             for (const StreamEdge& e : inserted) {
+                IGS_DCHECK(e.weight >= 0.0f);
                 seed_if_tree_edge(e);
             }
         }
@@ -231,10 +241,11 @@ class PathState {
             push(source);
         }
 
-        // --- Value-lowering modifications: relax from the inserted
-        // edges' reached sources.
+        // --- Value-lowering modifications: relax from the sources of
+        // the inserted edges that can lower their head.
         for (const StreamEdge& e : inserted) {
-            if (e.src < n && value_[e.src] != kUnreached) {
+            if (e.src < n && e.dst < n && value_[e.src] != kUnreached &&
+                step(value_[e.src], e.weight) < value_[e.dst]) {
                 push(e.src);
             }
         }

@@ -18,8 +18,10 @@
 namespace igs::analytics {
 
 /**
- * Static SSSP from `source` over out-edges, frontier-based Bellman-Ford
- * (correct for non-negative weights; our streams use positive weights).
+ * Static SSSP from `source` over out-edges, frontier-based Bellman-Ford.
+ * Precondition: edge weights are non-negative (our streams use positive
+ * weights); the incremental kernel's insertion bound
+ * (analytics/incremental/state.h) needs the same.
  */
 template <typename Graph>
     requires graph::GraphReadPath<Graph>

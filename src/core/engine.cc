@@ -1,5 +1,6 @@
 #include "core/engine.h"
 
+#include <exception>
 #include <utility>
 #include <variant>
 
@@ -233,7 +234,11 @@ BasicRealTimeEngine<GraphT>::BasicRealTimeEngine(const EngineConfig& config,
 template <typename GraphT>
 BasicRealTimeEngine<GraphT>::~BasicRealTimeEngine()
 {
-    join_inflight();
+    // An exception from the last round has no caller left to reach: it
+    // is dropped with the engine.
+    if (inflight_.joinable()) {
+        inflight_.join();
+    }
 }
 
 template <typename GraphT>
@@ -262,6 +267,9 @@ BasicRealTimeEngine<GraphT>::join_inflight()
         t.stalls.inc();
         t.stall_wall.add(waited);
     }
+    if (inflight_error_) {
+        std::rethrow_exception(std::exchange(inflight_error_, nullptr));
+    }
 }
 
 template <typename GraphT>
@@ -270,6 +278,8 @@ BasicRealTimeEngine<GraphT>::publish_epoch()
 {
     // Backpressure: at depth 2 the previous epoch's round may still be in
     // flight; publication would mutate the snapshot under it, so wait.
+    // A failed round rethrows here, before the epoch advances, so the
+    // pending batches are published by the next round.
     join_inflight();
 
     const EpochId epoch = graph_.advance_epoch();
@@ -297,7 +307,11 @@ BasicRealTimeEngine<GraphT>::publish_epoch()
         // publish, so the captured view can never dangle.
         // igs-lint: allow(snapshot-view-escape)
         inflight_ = std::thread([this, view]() {
-            compute_fn_(view, inflight_work_);
+            try {
+                compute_fn_(view, inflight_work_);
+            } catch (...) {
+                inflight_error_ = std::current_exception();
+            }
             inflight_done_.store(true, std::memory_order_release);
         });
     } else {

@@ -24,6 +24,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <optional>
 #include <thread>
@@ -241,7 +242,12 @@ using ComputeFn =
  * compute thread at depth >= 2 so the next batch's update overlaps it.
  * The compute thread touches only the immutable SnapshotView and its own
  * PendingWork; the ingest thread joins it before the next publication
- * (bounded one-epoch ingest-ahead = backpressure).  Without a registered
+ * (bounded one-epoch ingest-ahead = backpressure).  An exception thrown
+ * by a round on the compute thread is kept and rethrown by the next call
+ * that joins the round (`ingest`'s publication, `flush_pipeline` or
+ * `set_compute`), before that call publishes anything, so the pending
+ * work stays pending for the next round; the destructor drops it.  At
+ * depth 1 the exception leaves `ingest` directly.  Without a registered
  * callback the engine behaves exactly as before: callers poll
  * `compute_due` and drain `take_pending_work` themselves.
  */
@@ -290,6 +296,7 @@ class BasicRealTimeEngine {
 
   private:
     void publish_epoch();
+    /** Join the in-flight round, then rethrow what it threw, if anything. */
     void join_inflight();
     /**
      * Score the batch's access locality and renumber the live graph if
@@ -320,6 +327,9 @@ class BasicRealTimeEngine {
      *  inflight_ is joinable, reclaimed by the ingest thread after join. */
     PendingWork inflight_work_;
     std::thread inflight_;
+    /** What the in-flight round threw; written by the compute thread,
+     *  read by the ingest thread after the join. */
+    std::exception_ptr inflight_error_;
     /** Set by the compute thread on completion; lets stall accounting
      *  distinguish a blocking join from reaping a finished round. */
     std::atomic<bool> inflight_done_{false};

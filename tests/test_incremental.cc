@@ -7,7 +7,8 @@
  * references on all three storage backends, with SSSP/BFS asserted
  * *exactly* equal and PageRank equal within tolerance every epoch.
  * The adversarial deletion-stress stream (delete bursts,
- * delete-then-reinsert-same-edge) runs through the same harness.
+ * delete-then-reinsert-same-edge) and multi-batch hand-offs (the
+ * windows OCA aggregates) run through the same harness.
  *
  * Seeds are overridable via $IGS_TEST_SEED and printed on failure
  * (testutil::seed_trace).
@@ -15,6 +16,7 @@
 #include <cmath>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,6 +24,7 @@
 #include "analytics/incremental/analytics.h"
 #include "analytics/sssp.h"
 #include "analytics/traversal.h"
+#include "common/random.h"
 #include "gen/deletion_stress.h"
 #include "gen/edge_stream.h"
 #include "graph/adjacency_list.h"
@@ -234,26 +237,32 @@ expect_parent_tree(const Graph& g, const Bfs& bfs)
                        [](std::uint32_t h, Weight) { return h + 1; });
 }
 
+/** One compute hand-off: the batches OCA aggregated into it. */
+using Window = std::vector<std::vector<StreamEdge>>;
+
 /**
- * Drive `epochs` of operations through one shared graph, comparing an
- * always-delta bundle against an always-full bundle every epoch: BFS
- * and SSSP must match the from-scratch kernels exactly (least-fixpoint
- * argument, analytics/incremental/state.h) and keep a valid parent
- * tree, PageRank must match within tolerance.
+ * Drive `windows` of batches through one shared graph, handing each
+ * window off as one epoch, and compare an always-delta bundle against
+ * an always-full bundle every epoch: BFS and SSSP must match the
+ * from-scratch kernels exactly (least-fixpoint argument,
+ * analytics/incremental/state.h) and keep a valid parent tree, PageRank
+ * must match within tolerance.
  */
 template <typename Graph>
 void
-expect_incremental_matches_full(
-    Graph& g, const std::vector<std::vector<StreamEdge>>& epochs)
+expect_windows_match_full(Graph& g, const std::vector<Window>& windows)
 {
     IncrementalAnalytics inc(
         harness_config(IncrementalPolicy::kDeltaPropagate));
     IncrementalAnalytics ref(harness_config(IncrementalPolicy::kFullRerun));
     stream::PendingAccumulator acc;
+    std::uint64_t batch_id = 0;
     EpochId epoch = 0;
-    for (const auto& ops : epochs) {
-        apply_batch(g, ops);
-        acc.note_batch(stream::EdgeBatch(epoch + 1, ops));
+    for (const Window& window : windows) {
+        for (const auto& ops : window) {
+            apply_batch(g, ops);
+            acc.note_batch(stream::EdgeBatch(++batch_id, ops));
+        }
         const auto work = acc.hand_off(++epoch);
         (void)inc.on_epoch(g, work);
         (void)ref.on_epoch(g, work);
@@ -281,6 +290,20 @@ expect_incremental_matches_full(
     EXPECT_EQ(ref.delta_epochs(), 0u);
     EXPECT_GT(inc.delta_epochs(), 0u);
     EXPECT_LT(inc.delta_epochs(), inc.epochs());
+}
+
+/** One batch per epoch: every batch is handed off on its own. */
+template <typename Graph>
+void
+expect_incremental_matches_full(
+    Graph& g, const std::vector<std::vector<StreamEdge>>& epochs)
+{
+    std::vector<Window> windows;
+    windows.reserve(epochs.size());
+    for (const auto& ops : epochs) {
+        windows.push_back({ops});
+    }
+    expect_windows_match_full(g, windows);
 }
 
 std::vector<std::vector<StreamEdge>>
@@ -408,6 +431,90 @@ TEST(IncrementalEquivalence, DeletionStressHybridStore)
     }
 }
 
+// ------------------------------------------------ multi-batch windows
+
+/**
+ * Hand-offs of 2-3 batches each, the way OCA aggregates them, over 300
+ * generator vertices plus 20 side vertices only the injected edges
+ * touch.  Every window re-inserts one of its first batch's edges with
+ * another weight in its last batch.  The mixed first half also inserts
+ * a fresh side edge and deletes it again, deletes a live side edge and
+ * reinserts it with another weight, and adds one side edge for later
+ * windows.  The second half is insert-only, wiki-reach's shape.
+ */
+std::vector<Window>
+multi_batch_windows(std::uint64_t seed)
+{
+    gen::StreamModel m;
+    m.num_vertices = 300;
+    m.num_hubs = 6;
+    m.hub_mass_dst = 0.4;
+    m.delete_fraction = 0.3;
+    m.weighted = true;
+    m.seed = seed;
+    gen::EdgeStreamGenerator mixed(m);
+    m.delete_fraction = 0.0;
+    m.seed = seed + 0x9e3779b9u;
+    gen::EdgeStreamGenerator insert_only(m);
+    Rng rng(seed);
+    auto weight = [&] {
+        return 0.25f + static_cast<float>(rng.below(64)) / 32.0f;
+    };
+    auto side_edge = [&] {
+        return StreamEdge{static_cast<VertexId>(rng.below(300)),
+                          static_cast<VertexId>(300 + rng.below(20)),
+                          weight(), false};
+    };
+    std::vector<StreamEdge> live_side;
+    std::vector<Window> windows;
+    for (std::size_t i = 0; i < 12; ++i) {
+        const bool mixed_leg = i < 6;
+        gen::EdgeStreamGenerator& source = mixed_leg ? mixed : insert_only;
+        Window w(2 + rng.below(2));
+        for (auto& ops : w) {
+            ops = source.take(100);
+        }
+        for (const StreamEdge& e : w.front()) {
+            if (!e.is_delete) {
+                w.back().push_back({e.src, e.dst, weight(), false});
+                break;
+            }
+        }
+        if (mixed_leg) {
+            const StreamEdge fresh = side_edge();
+            w.front().push_back(fresh);
+            w.back().push_back({fresh.src, fresh.dst, fresh.weight, true});
+            if (!live_side.empty()) {
+                StreamEdge& old = live_side[rng.below(live_side.size())];
+                w.front().push_back({old.src, old.dst, old.weight, true});
+                old.weight += 0.5f;
+                w.back().push_back(old);
+            }
+            live_side.push_back(side_edge());
+            w.front().push_back(live_side.back());
+        }
+        windows.push_back(std::move(w));
+    }
+    return windows;
+}
+
+TEST(IncrementalEquivalence, MultiBatchWindows)
+{
+    for (const std::uint64_t seed : harness_seeds({151, 152, 153})) {
+        SCOPED_TRACE(seed_trace(seed));
+        {
+            SCOPED_TRACE("AdjacencyList");
+            graph::AdjacencyList g(320);
+            expect_windows_match_full(g, multi_batch_windows(seed));
+        }
+        {
+            SCOPED_TRACE("HybridStore");
+            graph::HybridStore g(320, tight_tuning());
+            expect_windows_match_full(g, multi_batch_windows(seed));
+        }
+    }
+}
+
 // ------------------------------------------------ parent-tree trimming
 
 /** Hand `ops` (already applied to `g`) to `kernel` as one delta round. */
@@ -481,6 +588,35 @@ TEST(IncrementalTrim, OffTreeDuplicateInsertTraversesNothingExtra)
     EXPECT_EQ(near_work.traversals, g.degree(3, Direction::kOut));
     EXPECT_EQ(sssp.distances(), analytics::static_sssp(g, 0));
     expect_parent_tree(g, sssp);
+}
+
+TEST(IncrementalTrim, InsertThatCannotLowerItsHeadDoesNoWork)
+{
+    graph::AdjacencyList g = off_tree_graph();
+    Sssp sssp(0);
+    Bfs bfs(0);
+    sssp.full_rerun(g);
+    bfs.full_rerun(g);
+    ASSERT_EQ(sssp.distances()[2], 2.0f);
+    ASSERT_EQ(bfs.hops()[3], 1u);
+
+    // SSSP: d(3) + 1.5 >= d(2) = 2 on the off-tree duplicate (3, 2).
+    // BFS: h(1) + 1 >= h(3) = 1 on the new edge (1, 3).  Each insert
+    // fails the other kernel's bound too, so no round scans a row.
+    for (const std::vector<StreamEdge>& ops :
+         {std::vector<StreamEdge>{{3, 2, 1.5f, false}},
+          std::vector<StreamEdge>{{1, 3, 1.0f, false}}}) {
+        apply_batch(g, ops);
+        for (const auto& work :
+             {delta_round(sssp, g, ops), delta_round(bfs, g, ops)}) {
+            EXPECT_EQ(work.activations, 0u);
+            EXPECT_EQ(work.traversals, 0u);
+        }
+        EXPECT_EQ(sssp.distances(), analytics::static_sssp(g, 0));
+        EXPECT_EQ(bfs.hops(), analytics::bfs_distances(g, 0));
+        expect_parent_tree(g, sssp);
+        expect_parent_tree(g, bfs);
+    }
 }
 
 TEST(IncrementalTrim, TreeEdgeDuplicateInsertRaisesDistanceExactly)

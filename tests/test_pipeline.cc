@@ -17,6 +17,8 @@
 #include <bit>
 #include <chrono>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -846,6 +848,52 @@ TEST(RealTimeEnginePipeline, FlushPublishesOcaDeferredTail)
     // Flushing again is a no-op.
     engine.flush_pipeline();
     EXPECT_EQ(engine.pipeline_stats().epochs_published, 2u);
+}
+
+TEST(RealTimeEnginePipeline, ComputeExceptionRethrownAtNextJoin)
+{
+    ThreadPool pool(2);
+    auto cfg = pipeline_config(core::UpdatePolicy::kBaseline, 2);
+    cfg.oca.enabled = false; // one round per batch
+    core::RealTimeEngine engine(cfg, 2000, pool);
+    std::atomic<std::uint64_t> rounds{0};
+    std::atomic<std::uint64_t> last_batches{0};
+    std::atomic<std::uint64_t> last_snapshot_edges{0};
+    engine.set_compute([&](const graph::SnapshotView& snap,
+                           const core::PendingWork& w) {
+        const std::uint64_t round = rounds.fetch_add(1) + 1;
+        if (round == 2 || round == 4) {
+            throw std::runtime_error("round " + std::to_string(round));
+        }
+        last_batches.store(w.batches);
+        last_snapshot_edges.store(snap.num_edges());
+    });
+    (void)engine.ingest(pipeline_batch(1, 400, 90));
+    (void)engine.ingest(pipeline_batch(2, 400, 91)); // round 2 throws
+
+    // The next join rethrows round 2's exception on this thread, before
+    // batch 3 is published.
+    try {
+        (void)engine.ingest(pipeline_batch(3, 400, 92));
+        ADD_FAILURE() << "round 2's exception was not rethrown";
+    } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "round 2");
+    }
+    EXPECT_EQ(rounds.load(), 2u);
+    EXPECT_EQ(engine.pipeline_stats().epochs_published, 2u);
+    EXPECT_EQ(engine.graph().epoch(), 2u);
+    EXPECT_TRUE(engine.compute_due());
+
+    // Batch 3 stayed pending: the next round computes it with batch 4.
+    (void)engine.ingest(pipeline_batch(4, 400, 93));
+    engine.flush_pipeline();
+    EXPECT_EQ(rounds.load(), 3u);
+    EXPECT_EQ(last_batches.load(), 2u);
+    EXPECT_EQ(last_snapshot_edges.load(), engine.graph().num_edges());
+    expect_snapshot_matches_live(engine.snapshot(), engine.graph());
+
+    // Round 4 throws with no join after it: the destructor drops it.
+    (void)engine.ingest(pipeline_batch(5, 400, 94));
 }
 
 // ----------------------------------------------------- epochs + tokens

@@ -116,7 +116,9 @@ for leg in "${LEGS[@]}"; do
       tsan-pipeline)
         # The plain tsan leg already runs test_pipeline once as part of
         # the full suite; this leg re-runs the pipeline/epoch tests
-        # (which exercise the depth>=2 concurrent publish/compute path)
+        # (which exercise the depth>=2 concurrent publish/compute path,
+        # including ComputeExceptionRethrownAtNextJoin: a round's
+        # exception handed from the compute thread to the next join)
         # and the SnapshotStore tests (pooled publication: pool workers
         # refreshing disjoint dirty vertices' rows and change marks)
         # several times to widen schedule coverage.  Reuses the tsan
@@ -151,10 +153,12 @@ for leg in "${LEGS[@]}"; do
         ;;
       tsan-incremental)
         # Focused TSan deep-run of the incremental-analytics suite: the
-        # randomized equivalence harness across all three backends plus
-        # the depth-2 test where the memoized bundle computes inside the
-        # engine's compute callback against the published snapshot.
-        # Reuses the tsan tree.
+        # randomized equivalence harness across all three backends
+        # (MultiBatchWindows included: OCA-style hand-offs of 2-3
+        # batches), the IncrementalTrim work cases, plus the depth-2
+        # test where the memoized bundle computes inside the engine's
+        # compute callback against the published snapshot.  Reuses the
+        # tsan tree.
         IGS_CHECK_BDIR="$ROOT/build-check-tsan"
         CTEST_EXTRA=(-R 'Incremental|DirtySet' --repeat until-fail:3)
         run_leg tsan-incremental -DIGS_SANITIZE=thread
