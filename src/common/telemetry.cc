@@ -1,6 +1,7 @@
 #include "common/telemetry.h"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -25,7 +26,9 @@ Counter::shard_index() noexcept
 // --------------------------------------------------------------- histogram
 
 Histogram::Histogram(std::span<const double> bounds)
-    : bounds_(bounds.begin(), bounds.end()), counts_(bounds.size() + 1)
+    : bounds_(bounds.begin(), bounds.end()),
+      lines_per_shard_((bounds.size() + 2 + Line::kCells - 1) / Line::kCells),
+      lines_(Counter::kShards * lines_per_shard_)
 {
     for (std::size_t i = 1; i < bounds_.size(); ++i) {
         IGS_CHECK_MSG(bounds_[i - 1] < bounds_[i],
@@ -34,22 +37,44 @@ Histogram::Histogram(std::span<const double> bounds)
 }
 
 std::uint64_t
+Histogram::bucket_count(std::size_t i) const
+{
+    std::uint64_t n = 0;
+    for (std::size_t s = 0; s < Counter::kShards; ++s) {
+        n += cell(s, i).load(std::memory_order_relaxed);
+    }
+    return n;
+}
+
+std::uint64_t
 Histogram::total_count() const
 {
     std::uint64_t t = 0;
-    for (const auto& c : counts_) {
-        t += c.load(std::memory_order_relaxed);
+    for (std::size_t i = 0; i <= bounds_.size(); ++i) {
+        t += bucket_count(i);
     }
     return t;
+}
+
+double
+Histogram::sum() const
+{
+    double total = 0.0;
+    for (std::size_t s = 0; s < Counter::kShards; ++s) {
+        total += std::bit_cast<double>(
+            cell(s, sum_cell()).load(std::memory_order_relaxed));
+    }
+    return total;
 }
 
 void
 Histogram::reset() noexcept
 {
-    for (auto& c : counts_) {
-        c.store(0, std::memory_order_relaxed);
+    for (Line& line : lines_) {
+        for (auto& c : line.cells) {
+            c.store(0, std::memory_order_relaxed);
+        }
     }
-    sum_.reset();
 }
 
 // ---------------------------------------------------------------- registry

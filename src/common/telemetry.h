@@ -11,7 +11,8 @@
  *    increments from real-engine workers never bounce one cacheline;
  *  - @ref Gauge — double with set / add / watermark (CAS max);
  *  - @ref Histogram — fixed bucket bounds chosen at registration; record()
- *    is a bounded scan plus one relaxed fetch_add;
+ *    is a bounded scan plus one relaxed fetch_add and one sum update on
+ *    the calling thread's shard (sharded like Counter);
  *  - @ref PhaseTimer — wall-clock accumulation for harness phases
  *    (never part of golden comparisons).
  *
@@ -36,6 +37,7 @@
 #define IGS_COMMON_TELEMETRY_H
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -83,12 +85,14 @@ class Counter {
 
     static constexpr std::size_t kShards = 8;
 
+    /** The calling thread's shard slot in [0, kShards); Histogram shards
+     *  by the same slot. */
+    static std::size_t shard_index() noexcept;
+
   private:
     struct alignas(64) Shard {
         std::atomic<std::uint64_t> v{0};
     };
-
-    static std::size_t shard_index() noexcept;
 
     Shard shards_[kShards];
 };
@@ -134,6 +138,15 @@ class Gauge {
  * Fixed-bucket histogram.  Bucket i counts samples with
  * `v <= bounds[i]` (first matching bound); the implicit last bucket is
  * +inf.  Bounds are fixed at registration so record() never allocates.
+ *
+ * Sharded like @ref Counter: each of Counter::kShards shards holds its own
+ * bucket counts and sum on cache lines of its own, chosen by the calling
+ * thread's Counter::shard_index(), so pool workers recording the same
+ * histogram never share a line.  Reads sum the shards.  A histogram
+ * recorded by one thread keeps every sample in one shard, so its sum is
+ * the one-thread sum bit for bit; samples from several threads land in
+ * several shards, and their sum is exact as long as the samples are
+ * integers (partial sums of integers below 2^53 round nowhere).
  */
 class Histogram {
   public:
@@ -148,23 +161,54 @@ class Histogram {
         while (i < bounds_.size() && v > bounds_[i]) {
             ++i;
         }
-        counts_[i].fetch_add(1, std::memory_order_relaxed);
-        sum_.add(v);
+        const std::size_t shard = Counter::shard_index();
+        cell(shard, i).fetch_add(1, std::memory_order_relaxed);
+        // The shard's sum, kept as the bits of a double.
+        std::atomic<std::uint64_t>& sum = cell(shard, sum_cell());
+        std::uint64_t cur = sum.load(std::memory_order_relaxed);
+        while (!sum.compare_exchange_weak(
+            cur, std::bit_cast<std::uint64_t>(std::bit_cast<double>(cur) + v),
+            std::memory_order_relaxed, std::memory_order_relaxed)) {
+        }
     }
 
     const std::vector<double>& bounds() const { return bounds_; }
-    std::uint64_t bucket_count(std::size_t i) const
-    {
-        return counts_[i].load(std::memory_order_relaxed);
-    }
+    /** Samples in bucket `i`, summed over the shards. */
+    std::uint64_t bucket_count(std::size_t i) const;
     std::uint64_t total_count() const;
-    double sum() const { return sum_.value(); }
+    /** Sum of the samples: the shard sums added in shard order. */
+    double sum() const;
+    /** Zero every shard. */
     void reset() noexcept;
 
   private:
+    /** One cache line of a shard's cells. */
+    struct alignas(64) Line {
+        static constexpr std::size_t kCells = 8;
+        std::atomic<std::uint64_t> cells[kCells];
+    };
+
+    /** A shard's cells: one count per bucket, then the sum's bits. */
+    std::size_t sum_cell() const { return bounds_.size() + 1; }
+
+    std::atomic<std::uint64_t>&
+    cell(std::size_t shard, std::size_t i) noexcept
+    {
+        return lines_[shard * lines_per_shard_ + i / Line::kCells]
+            .cells[i % Line::kCells];
+    }
+
+    const std::atomic<std::uint64_t>&
+    cell(std::size_t shard, std::size_t i) const noexcept
+    {
+        return lines_[shard * lines_per_shard_ + i / Line::kCells]
+            .cells[i % Line::kCells];
+    }
+
     std::vector<double> bounds_;
-    std::vector<std::atomic<std::uint64_t>> counts_; // bounds_.size() + 1
-    Gauge sum_;
+    std::size_t lines_per_shard_;
+    /** Counter::kShards shards of lines_per_shard_ lines each. */
+    std::vector<Line> lines_;
 };
 
 /** Wall-clock phase accumulator (total seconds + invocation count). */

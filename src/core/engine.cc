@@ -284,8 +284,12 @@ BasicRealTimeEngine<GraphT>::publish_epoch()
 
     const EpochId epoch = graph_.advance_epoch();
     inflight_work_ = pending_.hand_off(epoch);
-    const graph::PublishStats ps =
-        snapshots_.publish(graph_, inflight_work_.affected, pool_);
+    const bool overlapped = core_.config().pipeline_depth >= 2;
+    // Depth 1 computes on the live rows (snapshot()): nothing to copy.
+    graph::PublishStats ps;
+    if (overlapped) {
+        ps = snapshots_.publish(graph_, inflight_work_.affected, pool_);
+    }
     pipeline_stats_.epochs_published += 1;
     pipeline_stats_.dirty_vertices_copied += ps.dirty_vertices;
     pipeline_stats_.edges_copied += ps.copied_edges;
@@ -294,13 +298,13 @@ BasicRealTimeEngine<GraphT>::publish_epoch()
     t.dirty_vertices.inc(ps.dirty_vertices);
     t.copied_edges.inc(ps.copied_edges);
     // Tiered backends refresh their per-tier population gauges once per
-    // epoch (a census, too costly per edge).
+    // epoch.
     if constexpr (requires { graph_.publish_tier_telemetry(); }) {
         graph_.publish_tier_telemetry();
     }
 
-    const graph::SnapshotView view = snapshots_.view();
-    if (core_.config().pipeline_depth >= 2) {
+    const graph::SnapshotView view = snapshot();
+    if (overlapped) {
         inflight_done_.store(false, std::memory_order_release);
         // The capture outlives this scope by design: publish_epoch joins
         // the in-flight round (join_inflight above) before the next

@@ -83,8 +83,9 @@ struct EngineConfig {
     stream::ReorderMode reorder_mode = stream::ReorderMode::kRadix;
     /**
      * Pipeline depth (DESIGN.md §11).  1 = serial: each due compute round
-     * runs inline inside `ingest` — behavior and output byte-identical to
-     * the pre-pipeline engine.  2 = one epoch of ingest-ahead: the compute
+     * runs inline inside `ingest`, on the live store — behavior and
+     * output byte-identical to the pre-pipeline engine, and no snapshot
+     * is kept.  2 = one epoch of ingest-ahead: the compute
      * round for epoch k runs on its SnapshotView while the next batch's
      * update runs on the live graph; the next publication joins it first
      * (backpressure), so memory stays flat at one snapshot + one pending
@@ -237,9 +238,11 @@ using ComputeFn =
  * caller or from per-worker slots, so they need no locks of their own.
  *
  * Pipeline mode: register a compute round via `set_compute`.  When a
- * round is due (OCA permitting), `ingest` publishes a snapshot epoch and
- * runs the callback — inline at pipeline_depth 1, or on a dedicated
- * compute thread at depth >= 2 so the next batch's update overlaps it.
+ * round is due (OCA permitting), `ingest` closes an epoch and runs the
+ * callback — inline at pipeline_depth 1, on a view over the live store
+ * (no copy: nothing writes while the round runs), or at depth >= 2 on a
+ * published snapshot, on a dedicated compute thread so the next batch's
+ * update overlaps it.
  * The compute thread touches only the immutable SnapshotView and its own
  * PendingWork; the ingest thread joins it before the next publication
  * (bounded one-epoch ingest-ahead = backpressure).  An exception thrown
@@ -283,8 +286,23 @@ class BasicRealTimeEngine {
      */
     void flush_pipeline();
 
-    /** Snapshot of the latest published epoch (pipeline mode). */
-    graph::SnapshotView snapshot() const { return snapshots_.view(); }
+    /**
+     * The view compute rounds read (pipeline mode).  At depth >= 2, the
+     * snapshot copied at the latest publication.  At depth 1, a view
+     * over the live store's own rows as of the latest `ingest`, built
+     * here and nowhere else: a depth-1 round runs inline on the ingest
+     * thread between batches, so no writer runs while it reads
+     * (DESIGN.md §11.3).  The view is valid until the next `ingest`,
+     * which writes those rows.
+     */
+    graph::SnapshotView
+    snapshot() const
+    {
+        if (core_.config().pipeline_depth >= 2) {
+            return snapshots_.view();
+        }
+        return graph::SnapshotView::over_live(graph_);
+    }
 
     const PipelineStats& pipeline_stats() const { return pipeline_stats_; }
 
@@ -302,7 +320,8 @@ class BasicRealTimeEngine {
      * Score the batch's access locality and renumber the live graph if
      * the ABR-style trigger fires.  Runs at the tail of `ingest`, after
      * any epoch publication: a depth-2 compute round reads only the
-     * snapshot's copied rows, so re-placing live rows here is safe.
+     * snapshot's copied rows, and a depth-1 round has already returned,
+     * so re-placing live rows here is safe.
      * Compiled out for backends without apply_renumber/id_map.
      */
     void maybe_renumber(const stream::EdgeBatch& batch);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "common/telemetry.h"
 
@@ -297,8 +298,16 @@ HybridStore::HybridStore(std::size_t num_vertices, const StoreTuning& tuning)
     HybridTelemetry::get();
 }
 
+HybridStore::HybridStore(HybridStore&& other) noexcept
+    : LiveStore(std::move(other)), tuning_(other.tuning_),
+      out_to_sorted_(other.out_to_sorted_.exchange(
+          0, std::memory_order_relaxed)),
+      out_to_hash_(other.out_to_hash_.exchange(0, std::memory_order_relaxed))
+{
+}
+
 ApplyResult
-HybridStore::insert_into(HybridEdgeSet& set, Neighbor nbr)
+HybridStore::insert_into(HybridEdgeSet& set, Neighbor nbr, Direction dir)
 {
     auto& t = HybridTelemetry::get();
     const std::uint8_t tier_before = set.tier();
@@ -306,11 +315,19 @@ HybridStore::insert_into(HybridEdgeSet& set, Neighbor nbr)
     const ApplyResult r = set.insert(nbr, tuning_.hybrid_sorted_threshold);
     t.probes[tier_before]->record(r.probes);
     if (set.tier() != tier_before) {
+        // One insert may promote twice (inline -> sorted -> hashed).
+        const bool out = dir == Direction::kOut;
         if (tier_before == HybridEdgeSet::kInline) {
             t.promotions_to_sorted.inc();
+            if (out) {
+                out_to_sorted_.fetch_add(1, std::memory_order_relaxed);
+            }
         }
         if (set.tier() == HybridEdgeSet::kHashed) {
             t.promotions_to_hash.inc();
+            if (out) {
+                out_to_hash_.fetch_add(1, std::memory_order_relaxed);
+            }
         }
     }
     return r;
@@ -330,7 +347,7 @@ HybridStore::apply_insert(VertexId v, Neighbor nbr, Direction dir)
 {
     const VertexId p = map_.to_physical(v);
     auto& set = row(p, dir);
-    const ApplyResult r = insert_into(set, nbr);
+    const ApplyResult r = insert_into(set, nbr, dir);
     marks_.lower(p, dir, r.written_at);
     if (!r.found && dir == Direction::kOut) {
         num_edges_.fetch_add(1, std::memory_order_relaxed);
@@ -371,7 +388,7 @@ HybridStore::apply_coalesced(VertexId v, Direction dir, FlatWeightTable& table)
     // is a guaranteed miss, so the probes it reports stay honest).
     std::size_t appended = 0;
     table.for_each([&](VertexId target, Weight w) {
-        const ApplyResult r = insert_into(set, Neighbor{target, w});
+        const ApplyResult r = insert_into(set, Neighbor{target, w}, dir);
         IGS_DCHECK(!r.found);
         marks_.lower(p, dir, r.written_at);
         ++appended;
@@ -395,11 +412,16 @@ HybridStore::tier_census() const
 void
 HybridStore::publish_tier_telemetry() const
 {
-    const TierCensus c = tier_census();
+    const std::size_t to_sorted =
+        out_to_sorted_.load(std::memory_order_relaxed);
+    const std::size_t to_hash = out_to_hash_.load(std::memory_order_relaxed);
     auto& t = HybridTelemetry::get();
-    for (int i = 0; i < 3; ++i) {
-        t.tier_vertices[i]->set(static_cast<double>(c.vertices[i]));
-    }
+    t.tier_vertices[HybridEdgeSet::kInline]->set(
+        static_cast<double>(num_vertices() - to_sorted));
+    t.tier_vertices[HybridEdgeSet::kSorted]->set(
+        static_cast<double>(to_sorted - to_hash));
+    t.tier_vertices[HybridEdgeSet::kHashed]->set(
+        static_cast<double>(to_hash));
 }
 
 } // namespace igs::graph

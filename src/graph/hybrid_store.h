@@ -40,6 +40,7 @@
 #ifndef IGS_GRAPH_HYBRID_STORE_H
 #define IGS_GRAPH_HYBRID_STORE_H
 
+#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -144,6 +145,10 @@ class HybridStore : public LiveStore<HybridEdgeSet> {
     explicit HybridStore(std::size_t num_vertices = 0,
                          const StoreTuning& tuning = {});
 
+    /** Single-threaded, like LiveStore's move: the promotion counts move
+     *  with the rows, and the moved-from store (0 vertices) reads 0. */
+    HybridStore(HybridStore&& other) noexcept;
+
     /** Replace the tier thresholds.  Takes effect on future promotions
      *  only; call before the first insert for fully uniform behavior. */
     void set_tuning(const StoreTuning& tuning) { tuning_ = tuning; }
@@ -173,18 +178,32 @@ class HybridStore : public LiveStore<HybridEdgeSet> {
     struct TierCensus {
         std::size_t vertices[3] = {0, 0, 0};
     };
+    /** The census by a scan of every out-row (the test oracle of the
+     *  promotion counts publish_tier_telemetry reads). */
     TierCensus tier_census() const;
 
-    /** Refresh the core.graph.tier*_vertices gauges from a fresh census.
-     *  The engine calls this at each epoch publication. */
+    /**
+     * Set the core.graph.tier*_vertices gauges to the out-direction tier
+     * population.  O(1): tiers only promote, so the population follows
+     * from the out-row promotions counted as they happen (hashed =
+     * promotions to hash, sorted = to sorted − to hash, inline = the
+     * remaining vertices).  Call between batches; the engine calls it at
+     * each epoch publication.
+     */
     void publish_tier_telemetry() const;
 
   private:
-    /** insert/remove wrappers that record tier telemetry. */
-    ApplyResult insert_into(HybridEdgeSet& set, Neighbor nbr);
+    /** insert/remove wrappers that record tier telemetry; an insert into
+     *  an out-row also counts the row's promotions. */
+    ApplyResult insert_into(HybridEdgeSet& set, Neighbor nbr, Direction dir);
     ApplyResult remove_from(HybridEdgeSet& set, VertexId nbr_id);
 
     StoreTuning tuning_;
+    /** Out-rows promoted out of the inline tier / into the hashed tier.
+     *  Counted by the update's pool workers (relaxed: read between
+     *  batches, after the update's join). */
+    std::atomic<std::size_t> out_to_sorted_{0};
+    std::atomic<std::size_t> out_to_hash_{0};
 };
 
 static_assert(GraphStore<HybridStore>,

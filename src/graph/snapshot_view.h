@@ -3,7 +3,10 @@
  * Immutable snapshot of a live graph, maintained by copy-on-publish.
  *
  * The pipeline (DESIGN.md §11) computes on epoch k's @ref SnapshotView
- * while the live store ingests batch k+1.  To keep publication cheap the
+ * while the live store ingests batch k+1.  At pipeline depth 1 nothing
+ * overlaps the round, so the engine publishes nothing and hands the
+ * round a view over the live store instead (SnapshotView::over_live).
+ * To keep publication cheap the
  * @ref SnapshotStore never copies the whole graph in steady state: the
  * engine hands it the dirty-vertex set accumulated since the previous
  * publication (stream::PendingWork::affected — every src/dst of every
@@ -37,9 +40,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <concepts>
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -65,15 +70,40 @@ struct PublishStats {
 class SnapshotStore;
 
 /**
- * Read-only view of the most recent publication.  Cheap to copy (two
- * pointers + counters); valid until the owning SnapshotStore's next
- * `publish` or destruction.  Satisfies graph::GraphStore.
+ * Read handle of one epoch's graph, over one of two sources:
+ *  - the rows a SnapshotStore copied at its latest publication
+ *    (SnapshotStore::view(); the pipeline at depth >= 2), valid until
+ *    that store's next `publish` or destruction;
+ *  - a live store's own rows (@ref over_live; depth 1, DESIGN.md §11.3),
+ *    read through the store's `edges()`, so logical ids stay logical
+ *    under a renumber.  Valid only while nothing writes the store.
+ * Cheap to copy (pointers + counters); satisfies graph::GraphStore.
  */
 class SnapshotView {
   public:
     SnapshotView() = default;
 
-    std::size_t num_vertices() const { return out_ ? out_->size() : 0; }
+    /**
+     * A view that reads `live`'s rows in place instead of a copy.  Sound
+     * only while no writer runs on `live` — the engine builds it for a
+     * round it runs inline between batches, and for `snapshot()` at
+     * depth 1 — and invalidated, like any of the store's row views, by
+     * the store's next mutation.  The counters are read now.
+     */
+    template <typename Live>
+        requires GraphStore<Live> &&
+                 std::convertible_to<decltype(std::declval<const Live&>()
+                                                  .edges(VertexId{},
+                                                         Direction::kOut)),
+                                     std::span<const Neighbor>>
+    static SnapshotView
+    over_live(const Live& live)
+    {
+        return {&live, &live_row<Live>, live.num_vertices(),
+                live.num_edges(), live.epoch()};
+    }
+
+    std::size_t num_vertices() const { return num_vertices_; }
     EdgeId num_edges() const { return num_edges_; }
     /** Epoch this view was published at (0 = default-constructed/empty). */
     EpochId epoch() const { return epoch_; }
@@ -81,31 +111,57 @@ class SnapshotView {
     std::uint32_t
     degree(VertexId v, Direction dir) const
     {
-        // Snapshot rows are copies of live adjacency rows, whose degree
+        // Rows are live adjacency rows or copies of them, whose degree
         // is bounded by the uint32 VertexId space by construction.
         // igs-lint: allow(unproven-narrowing)
         return static_cast<std::uint32_t>(edges(v, dir).size());
     }
 
-    const std::vector<Neighbor>&
+    std::span<const Neighbor>
     edges(VertexId v, Direction dir) const
     {
-        const auto* arrays = dir == Direction::kOut ? out_ : in_;
-        IGS_DCHECK(arrays != nullptr && v < arrays->size());
-        return (*arrays)[v];
+        IGS_DCHECK(v < num_vertices_);
+        if (live_ != nullptr) {
+            return live_row_(live_, v, dir);
+        }
+        return (dir == Direction::kOut ? *out_ : *in_)[v];
     }
 
   private:
     friend class SnapshotStore;
+    using RowFn = std::span<const Neighbor> (*)(const void*, VertexId,
+                                                Direction);
+
     SnapshotView(const std::vector<std::vector<Neighbor>>* out,
                  const std::vector<std::vector<Neighbor>>* in,
                  EdgeId num_edges, EpochId epoch)
-        : out_(out), in_(in), num_edges_(num_edges), epoch_(epoch)
+        : out_(out), in_(in), num_vertices_(out->size()),
+          num_edges_(num_edges), epoch_(epoch)
     {
     }
 
+    SnapshotView(const void* live, RowFn live_row, std::size_t num_vertices,
+                 EdgeId num_edges, EpochId epoch)
+        : live_(live), live_row_(live_row), num_vertices_(num_vertices),
+          num_edges_(num_edges), epoch_(epoch)
+    {
+    }
+
+    /** Row `v`/`dir` of the `Live` store at `store`, through its edges(). */
+    template <typename Live>
+    static std::span<const Neighbor>
+    live_row(const void* store, VertexId v, Direction dir)
+    {
+        return static_cast<const Live*>(store)->edges(v, dir);
+    }
+
+    /** Copied source: the SnapshotStore's rows. */
     const std::vector<std::vector<Neighbor>>* out_ = nullptr;
     const std::vector<std::vector<Neighbor>>* in_ = nullptr;
+    /** Live source: the store, and the row read for the store's type. */
+    const void* live_ = nullptr;
+    RowFn live_row_ = nullptr;
+    std::size_t num_vertices_ = 0;
     EdgeId num_edges_ = 0;
     EpochId epoch_ = 0;
 };

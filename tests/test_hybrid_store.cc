@@ -11,6 +11,10 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <numeric>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +23,7 @@
 #include "analytics/sssp.h"
 #include "common/flat_table.h"
 #include "common/random.h"
+#include "common/telemetry.h"
 #include "common/thread_pool.h"
 #include "core/engine.h"
 #include "gen/edge_stream.h"
@@ -27,6 +32,8 @@
 #include "graph/hybrid_store.h"
 #include "graph/store_tuning.h"
 #include "stream/batch.h"
+#include "stream/reorder.h"
+#include "stream/updaters.h"
 
 #include "test_support.h"
 
@@ -178,6 +185,118 @@ TEST(HybridStore, TierCensusCountsOutSets)
     EXPECT_EQ(census.vertices[1], 1u);
     EXPECT_EQ(census.vertices[2], 1u);
     g.publish_tier_telemetry(); // must not crash; gauge values are exported
+}
+
+/** The tier gauges as publish_tier_telemetry() last set them. */
+HybridStore::TierCensus
+gauge_census()
+{
+    auto& r = telemetry::Registry::global();
+    HybridStore::TierCensus c;
+    for (int i = 0; i < 3; ++i) {
+        c.vertices[i] = static_cast<std::size_t>(
+            r.gauge("core.graph.tier" + std::to_string(i) + "_vertices")
+                .value());
+    }
+    return c;
+}
+
+/** Publish `g`'s gauges (from its promotion counts) and compare them
+ *  with a scan of every out-row. */
+void
+expect_gauges_match_scan(const HybridStore& g)
+{
+    g.publish_tier_telemetry();
+    const HybridStore::TierCensus scan = g.tier_census();
+    const HybridStore::TierCensus gauges = gauge_census();
+    for (int i = 0; i < 3; ++i) {
+        EXPECT_EQ(gauges.vertices[i], scan.vertices[i]) << "tier " << i;
+    }
+}
+
+/**
+ * The tier gauges follow from promotion counts.  After every batch they
+ * must equal the scan, through the locked baseline kernel on two workers
+ * and the run-owned USC kernel, vertex growth, one renumber and one move
+ * (the moved-from store reads 0 vertices and all-zero gauges).  The
+ * test also runs a tuning that hashes at one past the inline capacity,
+ * so one insert promotes a row twice (inline -> sorted -> hashed).
+ */
+void
+census_counts_match_scan(std::uint64_t seed, const StoreTuning& tuning)
+{
+    ThreadPool pool(2);
+    stream::UscScratch scratch;
+    stream::RealContext ctx(pool, &scratch);
+    Rng rng(seed);
+    gen::StreamModel m;
+    m.num_vertices = 200;
+    m.num_hubs = 6;
+    m.hub_mass_dst = 0.5;
+    m.delete_fraction = 0.2;
+    m.weighted = true;
+    m.seed = seed;
+    gen::EdgeStreamGenerator narrow(m);
+    m.num_vertices = 400;
+    m.seed = seed + 1;
+    gen::EdgeStreamGenerator wide(m);
+
+    HybridStore first(0, tuning);
+    std::optional<HybridStore> second;
+    HybridStore* live = &first;
+    constexpr std::uint64_t kBatches = 24;
+    for (std::uint64_t b = 1; b <= kBatches; ++b) {
+        SCOPED_TRACE("batch " + std::to_string(b));
+        const stream::EdgeBatch batch(
+            b, (b <= kBatches / 2 ? narrow : wide).take(300));
+        live->ensure_vertices(stream::max_vertex_of(batch.edges()) + 1);
+        if (rng.below(2) == 0) {
+            stream::apply_batch_baseline(*live, batch, ctx);
+        } else {
+            stream::apply_batch_usc(
+                *live, batch, stream::reorder_batch(batch.edges(), pool),
+                ctx);
+        }
+        if (b == 8) {
+            std::vector<VertexId> l2p(live->num_vertices());
+            std::iota(l2p.begin(), l2p.end(), VertexId{0});
+            std::shuffle(l2p.begin(), l2p.end(), rng);
+            live->apply_renumber(l2p);
+        }
+        if (b == 16) {
+            second.emplace(std::move(first));
+            live = &*second;
+            // NOLINTNEXTLINE(bugprone-use-after-move)
+            EXPECT_EQ(first.num_vertices(), 0u);
+            expect_gauges_match_scan(first);
+        }
+        expect_gauges_match_scan(*live);
+    }
+    EXPECT_GT(live->num_vertices(), 200u);
+    const HybridStore::TierCensus scan = live->tier_census();
+    EXPECT_GT(scan.vertices[HybridEdgeSet::kHashed], 0u);
+    // A row stays sorted unless its promotion goes straight on to hashed.
+    if (tuning.hybrid_sorted_threshold > HybridEdgeSet::kInlineCapacity + 1) {
+        EXPECT_GT(scan.vertices[HybridEdgeSet::kSorted], 0u);
+    }
+}
+
+TEST(HybridStore, CensusCountsMatchScan)
+{
+    StoreTuning double_promotion = tight_tuning();
+    double_promotion.hybrid_sorted_threshold =
+        HybridEdgeSet::kInlineCapacity + 1;
+    for (const std::uint64_t seed : testutil::harness_seeds({171, 172, 173})) {
+        SCOPED_TRACE(testutil::seed_trace(seed));
+        {
+            SCOPED_TRACE("tight tuning");
+            census_counts_match_scan(seed, tight_tuning());
+        }
+        {
+            SCOPED_TRACE("double promotion");
+            census_counts_match_scan(seed, double_promotion);
+        }
+    }
 }
 
 TEST(HybridStore, ApplyCoalescedMatchesIndividualInserts)

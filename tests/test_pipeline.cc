@@ -17,6 +17,7 @@
 #include <bit>
 #include <chrono>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -633,6 +634,176 @@ TEST(RealTimeEnginePipeline, DepthOneMatchesUnpipelinedEngineExactly)
     // The published snapshot is the live graph at the last publication.
     expect_snapshot_matches_live(piped.snapshot(), piped.graph());
     EXPECT_EQ(piped.snapshot().epoch(), piped.graph().epoch());
+}
+
+// ------------------------------------------- depth 1 reads the live store
+/** Every row `snap` returns is `live`'s own row: the same storage, not a
+ *  copy of it. */
+template <typename Live>
+bool
+reads_live_rows(const graph::SnapshotView& snap, const Live& live)
+{
+    if (snap.num_vertices() != live.num_vertices() ||
+        snap.num_edges() != live.num_edges() || snap.epoch() != live.epoch()) {
+        return false;
+    }
+    for (VertexId v = 0; v < live.num_vertices(); ++v) {
+        for (Direction dir : {Direction::kOut, Direction::kIn}) {
+            const std::span<const Neighbor> got = snap.edges(v, dir);
+            const auto& row = live.edges(v, dir);
+            if (got.data() != row.data() || got.size() != row.size()) {
+                return false;
+            }
+        }
+    }
+    return true;
+}
+
+/** What one depth-1 round saw, checked after the stream. */
+struct LiveRound {
+    EpochId epoch = 0;
+    EpochId snap_epoch = 0;
+    bool reads_live = false;
+    bool sssp_matches = false;
+    bool bfs_matches = false;
+};
+
+/**
+ * A depth-1 engine over `Live` whose rounds run the incremental bundle on
+ * the view they are handed and record, while the round runs, whether that
+ * view reads the live rows and whether SSSP and BFS equal the
+ * from-scratch kernels on the live graph.
+ */
+template <typename Live>
+struct DepthOneRun {
+    ThreadPool pool{2};
+    core::BasicRealTimeEngine<Live> engine;
+    analytics::incremental::IncrementalAnalytics bundle;
+    std::vector<LiveRound> rounds;
+
+    explicit DepthOneRun(const core::EngineConfig& cfg)
+        : engine(cfg, 2000, pool)
+    {
+        engine.set_compute(
+            [this](const graph::SnapshotView& snap,
+                   const core::PendingWork& work) {
+                (void)bundle.on_epoch(snap, work);
+                const Live& live = engine.graph();
+                rounds.push_back(
+                    {work.epoch, snap.epoch(), reads_live_rows(snap, live),
+                     bundle.sssp().distances() ==
+                         analytics::static_sssp(live, 0),
+                     bundle.bfs().hops() ==
+                         analytics::bfs_distances(live, 0)});
+            });
+    }
+
+    /** Every round read the live rows and matched from-scratch; after
+     *  the flush the snapshot is the live graph. */
+    void
+    expect_exact()
+    {
+        EXPECT_EQ(rounds.size(), engine.pipeline_stats().epochs_published);
+        for (const LiveRound& r : rounds) {
+            SCOPED_TRACE("epoch=" + std::to_string(r.epoch));
+            EXPECT_EQ(r.snap_epoch, r.epoch);
+            EXPECT_TRUE(r.reads_live);
+            EXPECT_TRUE(r.sssp_matches);
+            EXPECT_TRUE(r.bfs_matches);
+        }
+        // Nothing was copied: depth 1 publishes no snapshot rows.
+        EXPECT_EQ(engine.pipeline_stats().edges_copied, 0u);
+        EXPECT_EQ(engine.pipeline_stats().dirty_vertices_copied, 0u);
+        expect_snapshot_matches_live(engine.snapshot(), engine.graph());
+        EXPECT_EQ(engine.snapshot().epoch(), engine.graph().epoch());
+        EXPECT_TRUE(reads_live_rows(engine.snapshot(), engine.graph()));
+    }
+};
+
+template <typename Live>
+void
+depth_one_round_reads_live_store()
+{
+    auto cfg = pipeline_config(core::UpdatePolicy::kAbrUsc, 1);
+    cfg.store = testutil::tight_tuning();
+    DepthOneRun<Live> run(cfg);
+    for (std::uint64_t k = 1; k <= 6; ++k) {
+        // Deletions exercise the SSSP/BFS trim on the live rows.
+        auto batch = pipeline_batch(k, 900, 130 + k);
+        if (k >= 2) {
+            const auto prev = pipeline_batch(k - 1, 900, 130 + k - 1);
+            for (std::size_t i = 0; i < 40; ++i) {
+                StreamEdge del = prev.edges()[i * 7];
+                del.is_delete = true;
+                batch.push_edge(del);
+            }
+        }
+        (void)run.engine.ingest(batch);
+    }
+    run.engine.flush_pipeline();
+    EXPECT_GE(run.rounds.size(), 2u);
+    run.expect_exact();
+}
+
+TEST(RealTimeEnginePipeline, DepthOneRoundReadsLiveStore)
+{
+    depth_one_round_reads_live_store<graph::AdjacencyList>();
+    depth_one_round_reads_live_store<graph::HybridStore>();
+}
+
+template <typename Live>
+void
+depth_one_deferred_tail_flushes_on_live_store()
+{
+    auto cfg = pipeline_config(core::UpdatePolicy::kBaseline, 1);
+    cfg.oca.enabled = true;
+    cfg.oca.threshold = 0.0; // always aggregate once measured
+    cfg.abr.n = 1;           // probe every batch
+    DepthOneRun<Live> run(cfg);
+    (void)run.engine.ingest(pipeline_batch(1, 500, 141));
+    // Batch 2 defers its round: its rows are live but not yet computed.
+    const auto r2 = run.engine.ingest(pipeline_batch(2, 500, 142));
+    EXPECT_TRUE(r2.defer_compute);
+    EXPECT_EQ(run.rounds.size(), 1u);
+    run.engine.flush_pipeline();
+    EXPECT_EQ(run.rounds.size(), 2u);
+    run.expect_exact();
+}
+
+TEST(RealTimeEnginePipeline, DepthOneFlushComputesDeferredTailOnLiveStore)
+{
+    depth_one_deferred_tail_flushes_on_live_store<graph::AdjacencyList>();
+    depth_one_deferred_tail_flushes_on_live_store<graph::HybridStore>();
+}
+
+template <typename Live>
+void
+depth_one_round_after_renumber_reads_logical_rows()
+{
+    auto cfg = pipeline_config(core::UpdatePolicy::kBaseline, 1);
+    cfg.oca.enabled = false;
+    // Fire on every window past warm-up and cooldown, so renumbers land
+    // between rounds and later rounds read re-placed rows.
+    cfg.renumber.enabled = true;
+    cfg.renumber.threshold = 2.0;
+    cfg.renumber.refire_factor = 4.0;
+    cfg.renumber.warmup_windows = 2;
+    cfg.renumber.cooldown_windows = 2;
+    DepthOneRun<Live> run(cfg);
+    for (std::uint64_t k = 1; k <= 6; ++k) {
+        (void)run.engine.ingest(pipeline_batch(k, 800, 150 + k));
+    }
+    run.engine.flush_pipeline();
+    EXPECT_GE(run.engine.renumber_stats().renumbers, 1u);
+    EXPECT_TRUE(run.engine.graph().id_map().enabled());
+    EXPECT_EQ(run.rounds.size(), 6u);
+    run.expect_exact();
+}
+
+TEST(RealTimeEnginePipeline, DepthOneRoundAfterRenumberReadsLogicalRows)
+{
+    depth_one_round_after_renumber_reads_logical_rows<graph::AdjacencyList>();
+    depth_one_round_after_renumber_reads_logical_rows<graph::HybridStore>();
 }
 
 // ------------------------------------------------- depth-2 equivalence

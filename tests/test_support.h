@@ -12,8 +12,10 @@
 #ifndef IGS_TESTS_TEST_SUPPORT_H
 #define IGS_TESTS_TEST_SUPPORT_H
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -102,9 +104,16 @@ expect_snapshot_matches_live(const graph::SnapshotView& snap, const Live& live)
     for (VertexId v = 0; v < live.num_vertices(); ++v) {
         for (Direction dir : {Direction::kOut, Direction::kIn}) {
             const auto& row = live.edges(v, dir);
-            EXPECT_EQ(snap.edges(v, dir),
-                      std::vector<Neighbor>(row.begin(), row.end()))
+            const std::vector<Neighbor> want(row.begin(), row.end());
+            const std::span<const Neighbor> got = snap.edges(v, dir);
+            EXPECT_EQ(got.size(), want.size())
                 << "vertex " << v << " dir " << to_string(dir);
+            for (std::size_t i = 0; i < std::min(got.size(), want.size());
+                 ++i) {
+                EXPECT_EQ(got[i], want[i])
+                    << "vertex " << v << " dir " << to_string(dir)
+                    << " entry " << i;
+            }
         }
     }
 }

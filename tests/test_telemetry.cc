@@ -7,6 +7,7 @@
  */
 #include "common/telemetry.h"
 
+#include <iterator>
 #include <limits>
 #include <string>
 #include <thread>
@@ -252,6 +253,52 @@ TEST(Telemetry, ConcurrentWritersAndSnapshots)
     EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads) * kIters);
     EXPECT_EQ(h.total_count(), static_cast<std::uint64_t>(kThreads) * kIters);
     EXPECT_FALSE(last.empty());
+}
+
+/** Four threads recording one integer multiset spread it over four
+ *  shards (slots are striped round-robin at a thread's first use); the
+ *  merged counts and sum equal a one-thread histogram's exactly, and
+ *  reset() clears every shard. */
+TEST(Telemetry, HistogramShardsMatchOneThread)
+{
+    const double bounds[] = {0.0,  1.0,  2.0,  4.0,  8.0,
+                             16.0, 32.0, 64.0, 128.0};
+    constexpr int kThreads = 4;
+    constexpr int kPerThread = 5000;
+    const auto sample = [](int t, int i) {
+        return static_cast<double>((t * 7919 + i * 31) % 300);
+    };
+    Histogram one(bounds);
+    for (int t = 0; t < kThreads; ++t) {
+        for (int i = 0; i < kPerThread; ++i) {
+            one.record(sample(t, i));
+        }
+    }
+    Histogram four(bounds);
+    std::vector<std::thread> ts;
+    for (int t = 0; t < kThreads; ++t) {
+        ts.emplace_back([&four, &sample, t] {
+            for (int i = 0; i < kPerThread; ++i) {
+                four.record(sample(t, i));
+            }
+        });
+    }
+    for (auto& t : ts) {
+        t.join();
+    }
+    for (std::size_t i = 0; i <= std::size(bounds); ++i) {
+        EXPECT_EQ(four.bucket_count(i), one.bucket_count(i)) << "bucket " << i;
+    }
+    EXPECT_EQ(four.total_count(),
+              static_cast<std::uint64_t>(kThreads) * kPerThread);
+    EXPECT_EQ(four.sum(), one.sum());
+
+    four.reset();
+    for (std::size_t i = 0; i <= std::size(bounds); ++i) {
+        EXPECT_EQ(four.bucket_count(i), 0u) << "bucket " << i;
+    }
+    EXPECT_EQ(four.total_count(), 0u);
+    EXPECT_EQ(four.sum(), 0.0);
 }
 
 } // namespace

@@ -4,10 +4,11 @@
 #
 #   asan  ASan + UBSan   (-DIGS_SANITIZE=address,undefined, gcc or clang)
 #   tsan  ThreadSanitizer (-DIGS_SANITIZE=thread)
-#   tsan-pipeline  focused TSan deep-run of the depth>=2 pipeline tests
-#         (test_pipeline's concurrent publish/compute interleavings and
-#         pooled snapshot publication, DESIGN.md §11) repeated
-#         until-fail; shares the tsan build tree
+#   tsan-pipeline  focused TSan deep-run of the pipeline tests
+#         (test_pipeline's depth>=2 concurrent publish/compute
+#         interleavings and pooled snapshot publication, and the depth-1
+#         rounds that read the live store while ingest waits, DESIGN.md
+#         §11) repeated until-fail; shares the tsan build tree
 #   asan-hybrid / tsan-hybrid  focused deep-runs of the hybrid-store
 #         backend tests (tier promotions under the contended lock and
 #         USC paths, DESIGN.md §12) repeated until-fail; share the asan
@@ -118,11 +119,14 @@ for leg in "${LEGS[@]}"; do
         # the full suite; this leg re-runs the pipeline/epoch tests
         # (which exercise the depth>=2 concurrent publish/compute path,
         # including ComputeExceptionRethrownAtNextJoin: a round's
-        # exception handed from the compute thread to the next join)
-        # and the SnapshotStore tests (pooled publication: pool workers
-        # refreshing disjoint dirty vertices' rows and change marks)
-        # several times to widen schedule coverage.  Reuses the tsan
-        # tree, so running after `tsan` costs no extra build.
+        # exception handed from the compute thread to the next join;
+        # and the depth-1 path, whose rounds read the live rows the
+        # update's pool workers wrote before their join:
+        # DepthOneRoundReadsLiveStore and its deferred-tail and renumber
+        # cases) and the SnapshotStore tests (pooled publication: pool
+        # workers refreshing disjoint dirty vertices' rows and change
+        # marks) several times to widen schedule coverage.  Reuses the
+        # tsan tree, so running after `tsan` costs no extra build.
         IGS_CHECK_BDIR="$ROOT/build-check-tsan"
         CTEST_EXTRA=(-R 'Pipeline|Epochs|SnapshotStore' --repeat until-fail:5)
         run_leg tsan-pipeline -DIGS_SANITIZE=thread
@@ -143,9 +147,11 @@ for leg in "${LEGS[@]}"; do
         ;;
       tsan-hybrid)
         # Focused TSan deep-run of the hybrid backend under contention:
-        # the contended baseline/USC kernels over HybridStore, the
-        # backend-selectable engine (pipeline depth 2 included) and the
-        # shared vertex table's contract suite.  Reuses the tsan tree.
+        # the contended baseline/USC kernels over HybridStore (with the
+        # promotion counts its pool workers keep for the tier census,
+        # CensusCountsMatchScan), the backend-selectable engine
+        # (pipeline depth 2 included) and the shared vertex table's
+        # contract suite.  Reuses the tsan tree.
         IGS_CHECK_BDIR="$ROOT/build-check-tsan"
         CTEST_EXTRA=(-R 'Hybrid|CrossBackend|LiveStoreContract' --repeat until-fail:3)
         run_leg tsan-hybrid -DIGS_SANITIZE=thread

@@ -158,6 +158,8 @@ CASES = {
         "hot_path_escape": {"hot-path-alloc src/m/helpers.h:9",
                             "hot-path-block src/m/helpers.h:15",
                             "hot-path-throw src/m/helpers.h:23"},
+        # A view read after ingest(): republished or written under it.
+        "ingest_under_view": {"view-invalidated-use src/app/ingest.cc:13"},
         # A backend's surface includes what it inherits: the base class
         # template supplies it (clean), or lacks a member (the finding).
         "inherited_missing_member": {
