@@ -26,8 +26,13 @@
 
 namespace igs {
 
-/** Open-addressing VertexId -> Weight accumulator with O(1) reuse. */
-class FlatWeightTable {
+/**
+ * Open-addressing VertexId -> Weight accumulator with O(1) reuse.  On a
+ * 64-byte line of its own: the engine keeps one table per pool worker side
+ * by side (UscScratch), and every run writes its table's epoch and entry
+ * list while the neighbouring worker reads its own slot pointer.
+ */
+class alignas(64) FlatWeightTable {
   public:
     /**
      * Prepare the table for a run of up to `expected` insertions: bumps the

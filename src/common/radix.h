@@ -15,6 +15,7 @@
 #ifndef IGS_COMMON_RADIX_H
 #define IGS_COMMON_RADIX_H
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -23,8 +24,9 @@ namespace igs {
 
 /** Widest digit a single counting pass handles. */
 inline constexpr std::uint32_t kMaxRadixBits = 16;
-/** Histogram stride sized for the widest digit. */
-inline constexpr std::size_t kMaxRadixBuckets = std::size_t{1} << kMaxRadixBits;
+/** Floor of widest_radix_bits: fewer than 256 keys may still take an
+ *  8-bit digit (a 256-bucket row is cheap next to an extra pass). */
+inline constexpr std::uint32_t kMinRadixBits = 8;
 
 /** Digit plan of one radix sort: `passes` stable passes of `bits` each. */
 struct RadixPlan {
@@ -36,22 +38,40 @@ struct RadixPlan {
 };
 
 /**
- * Pick a digit plan for sorting `n` keys in [0, max_key].
+ * Widest digit for `n` keys: the widest whose 2^bits buckets do not
+ * outnumber the keys, within [kMinRadixBits, kMaxRadixBits].
+ */
+inline std::uint32_t
+widest_radix_bits(std::size_t n)
+{
+    const auto log2_n =
+        n == 0 ? 0u : static_cast<std::uint32_t>(std::bit_width(n) - 1);
+    return std::clamp(log2_n, kMinRadixBits, kMaxRadixBits);
+}
+
+/**
+ * Pick a digit plan for sorting `n` keys in [0, max_key]: the fewest
+ * passes the key range needs at the widest digit `n` affords
+ * (widest_radix_bits), then the narrowest digit that covers the range in
+ * that many passes.
  *
- * Wide digits amortize over large inputs; small inputs take narrow digits so
- * the O(workers x buckets) prefix/clear work cannot dominate the O(n) part.
+ * Every pass reads and scatters all `n` keys, so the pass count is the
+ * O(n) cost; every pass also clears and prefix-sums one histogram row of
+ * 2^bits buckets per worker, which the narrowest digit keeps small.  For
+ * 18-bit keys from 1,024 keys up that is two 9-bit passes (512 buckets),
+ * where a fixed 16-bit digit clears 65,536 buckets per pass; for 20-bit
+ * keys from 1,024 keys up, two 10-bit passes.  The host path sweep
+ * (bench_micro_reorder, EXPERIMENTS.md) chose the rule.
  */
 inline RadixPlan
 plan_radix(std::size_t n, std::uint32_t max_key)
 {
-    RadixPlan plan;
-    plan.bits = n >= 4096 ? kMaxRadixBits : 8;
+    const std::uint32_t widest = widest_radix_bits(n);
     const std::uint32_t key_bits =
         max_key == 0 ? 1u : static_cast<std::uint32_t>(std::bit_width(max_key));
-    plan.passes = (key_bits + plan.bits - 1) / plan.bits;
-    if (plan.passes == 0) {
-        plan.passes = 1;
-    }
+    RadixPlan plan;
+    plan.passes = (key_bits + widest - 1) / widest;
+    plan.bits = (key_bits + plan.passes - 1) / plan.passes;
     return plan;
 }
 

@@ -40,8 +40,8 @@ ensure_capacity(Graph& g, VertexId max_v)
 /**
  * Reorder the batch (when the latched decision says so) and make sure the
  * graph covers every vertex it names.  The radix reorderer computes the max
- * vertex id inside its fused histogram pass, so reordered batches pay no
- * separate capacity scan.  Returns the reordering, or null.
+ * vertex id to fix its digit plan, so reordered batches pay no separate
+ * capacity scan.  Returns the reordering, or null.
  */
 template <typename Graph>
 const stream::ReorderedBatch*

@@ -53,6 +53,18 @@ class AdjacencyList : public LiveStore<std::vector<Neighbor>> {
      */
     std::size_t apply_coalesced(VertexId v, Direction dir,
                                 FlatWeightTable& table);
+
+    /**
+     * USC coalesced apply of a one-entry table (the USC kernel's one-edge
+     * insert runs).  For one target, apply_coalesced's scan-and-append
+     * is apply_insert's write bit for bit: the same weight sum, append
+     * slot, row growth and change mark — so it is apply_insert.
+     */
+    ApplyResult
+    apply_coalesced_one(VertexId v, Direction dir, Neighbor nbr)
+    {
+        return apply_insert(v, nbr, dir);
+    }
 };
 
 } // namespace igs::graph

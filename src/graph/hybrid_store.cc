@@ -146,6 +146,36 @@ HybridEdgeSet::hash_insert(Neighbor nbr)
     return r;
 }
 
+std::uint32_t
+HybridEdgeSet::position_of(VertexId id) const
+{
+    if (tier_ == kInline) {
+        for (std::uint32_t i = 0; i < count_; ++i) {
+            if (inline_[i].id == id) {
+                return i;
+            }
+        }
+        return count_;
+    }
+    if (tier_ == kSorted) {
+        const auto end = heap_.begin() + count_;
+        const auto it = std::lower_bound(
+            heap_.begin(), end, id,
+            [](const Neighbor& n, VertexId key) { return n.id < key; });
+        return it != end && it->id == id
+                   ? static_cast<std::uint32_t>(it - heap_.begin())
+                   : count_;
+    }
+    const std::size_t mask = index_.size() - 1;
+    for (std::size_t i = hash_id(id) & mask; index_[i] != 0;
+         i = (i + 1) & mask) {
+        if (heap_[index_[i] - 1].id == id) {
+            return index_[i] - 1;
+        }
+    }
+    return count_;
+}
+
 ApplyResult
 HybridEdgeSet::remove(VertexId nbr_id)
 {
@@ -397,6 +427,25 @@ HybridStore::apply_coalesced(VertexId v, Direction dir, FlatWeightTable& table)
         num_edges_.fetch_add(appended, std::memory_order_relaxed);
     }
     return appended;
+}
+
+ApplyResult
+HybridStore::apply_coalesced_one(VertexId v, Direction dir, Neighbor nbr)
+{
+    const VertexId p = map_.to_physical(v);
+    auto& set = row(p, dir);
+    const std::uint32_t at = set.position_of(nbr.id);
+    if (at == set.size()) {
+        // A miss takes the tiered insert, as apply_coalesced's remainder.
+        return apply_insert(v, nbr, dir);
+    }
+    set.view_mut()[at].weight += nbr.weight;
+    marks_.lower(p, dir, at);
+    ApplyResult r;
+    r.found = true;
+    r.len_before = set.size();
+    r.written_at = at;
+    return r;
 }
 
 HybridStore::TierCensus

@@ -86,6 +86,11 @@ class HybridEdgeSet {
      *  tier 1 and the swap-filled hole at tier 2. */
     ApplyResult remove(VertexId nbr_id);
 
+    /** Position of `id` in view(), or size() if absent, by the tier's
+     *  own lookup (inline scan, binary search, hash probe).  Writes
+     *  nothing: no index growth, no promotion. */
+    std::uint32_t position_of(VertexId id) const;
+
     /** Contiguous view of the stored edges (any tier). */
     std::span<const Neighbor>
     view() const
@@ -167,6 +172,17 @@ class HybridStore : public LiveStore<HybridEdgeSet> {
      */
     std::size_t apply_coalesced(VertexId v, Direction dir,
                                 FlatWeightTable& table);
+
+    /**
+     * apply_coalesced of a one-entry table (the USC kernel's one-edge
+     * insert runs), without the table: a match accumulates in place at
+     * the tier's lookup position and records no probe sample, a miss goes
+     * through the tiered insert — the writes, change marks and telemetry
+     * apply_coalesced makes for that entry.  apply_insert differs from it
+     * on a match (an inline hit marks from 0, the hashed tier may grow
+     * its index first, and a probe sample is recorded).
+     */
+    ApplyResult apply_coalesced_one(VertexId v, Direction dir, Neighbor nbr);
 
     /** Current representation tier of `v`'s `dir` edge set. */
     std::uint8_t tier(VertexId v, Direction dir) const

@@ -15,13 +15,14 @@
  *  - @ref ReorderMode::kComparison — the paper's two parallel stable sorts
  *    plus a serial run-index scan (also exposed as the free function
  *    @ref reorder_batch, the test oracle);
- *  - @ref ReorderMode::kRadix — a stable LSD counting/radix pipeline: one
- *    fused pass histograms the batch by source and destination low digits
- *    *and* finds the max vertex id (folding in the engine's
- *    ensure-capacity scan), edges are then scattered into preallocated
- *    flat buffers, and run boundaries fall out of the histogram prefix
- *    sums.  All state lives in a reusable @ref ReorderScratch arena, so
- *    steady-state reordering performs zero heap allocations.
+ *  - @ref ReorderMode::kRadix — a stable LSD counting/radix pipeline: a
+ *    max-vertex pass (folding in the engine's ensure-capacity scan) fixes
+ *    a digit plan sized to the batch and its key range, one fused pass
+ *    histograms the batch by source and destination low digits, edges
+ *    are then scattered into preallocated flat buffers, and run
+ *    boundaries fall out of the histogram prefix sums.  All state lives
+ *    in a reusable @ref ReorderScratch arena, so steady-state reordering
+ *    performs zero heap allocations.
  *
  * The engine executes the radix path by default (EngineConfig::reorder_mode)
  * while the simulator keeps charging the paper's parallel-stable-sort cost —
@@ -107,7 +108,7 @@ struct ReorderScratch {
     std::vector<std::size_t> bounds;
     /** Per-worker run/boundary counts for parallel run-index builds. */
     std::vector<std::uint32_t> run_counts;
-    /** Per-worker max vertex id seen by the fused histogram pass. */
+    /** Per-worker max vertex id seen by the max-vertex pass. */
     std::vector<VertexId> worker_max;
 };
 
@@ -128,8 +129,9 @@ class Reorderer {
     /**
      * Reorder `edges` on `pool`.  The returned reference stays valid (and
      * its buffers stay reused) until the next reorder() call.  Also records
-     * the batch's max vertex id — the radix path computes it in the fused
-     * histogram pass, folding away the engine's ensure-capacity scan.
+     * the batch's max vertex id — the radix path computes it anyway (it
+     * fixes the digit plan), folding away the engine's ensure-capacity
+     * scan.
      */
     const ReorderedBatch& reorder(std::span<const StreamEdge> edges,
                                   ThreadPool& pool);

@@ -4,18 +4,24 @@
  * byte-identical output to the comparison-sort path in O(n) host work, with
  * every buffer recycled through a ReorderScratch arena.
  *
- * Pipeline per batch (bits = 16 for large batches, 8 for small ones):
+ * Pipeline per batch:
  *
- *  1. One fused parallel pass over the raw batch builds per-worker
- *     histograms of the source and destination low digits *and* the max
- *     vertex id (the capacity scan the engine otherwise pays separately).
- *  2. Per direction, each radix pass turns its histograms into scatter
+ *  1. One pass finds the max vertex id (the capacity scan the engine
+ *     otherwise pays separately); it fixes the digit plan (plan_radix in
+ *     common/radix.h: the fewest passes the key range needs, each as
+ *     narrow as those passes allow — two 9-bit passes for 18-bit ids).
+ *  2. One fused pass over the raw batch builds per-worker pass-0
+ *     histograms of the source and destination digits.
+ *  3. Per direction, each radix pass turns its histograms into scatter
  *     offsets (bucket-major/worker-minor exclusive prefix — stability by
  *     construction) and scatters edges chunk-parallel into the ping-pong
  *     buffers; the final pass lands in the ReorderedBatch storage.
- *  3. Run boundaries come from the final histogram prefix when one pass
+ *  4. Run boundaries come from the final histogram prefix when one pass
  *     suffices (max vertex < bucket count), else from a chunk-parallel
  *     boundary scan — either way the serial build_runs pass is gone.
+ *
+ * Batches under the fork/join cutoff (radix_workers) run every pass on
+ * the caller alone.
  *
  * Allocation discipline: pool jobs are dispatched through lambdas whose
  * captures fit std::function's small-object buffer, and all arrays grow
@@ -75,17 +81,19 @@ run_workers(ThreadPool& pool, std::size_t workers, F&& body)
     });
 }
 
-/** Worker count for a batch of `n` edges (1 below the fork/join cutoff). */
+/**
+ * Worker count for a batch of `n` edges: one per kMinPerWorker edges, at
+ * most the pool.  A two-pass reorder forks and joins about a dozen times
+ * (max, fused count, then count/scatter/run passes per direction); below
+ * 16K edges a worker the condition-variable handshakes cost more than the
+ * split saves on the host path sweep (bench_micro_reorder,
+ * EXPERIMENTS.md), so batches under 32K edges run on the caller alone.
+ */
 std::size_t
 radix_workers(std::size_t n, ThreadPool& pool)
 {
-    constexpr std::size_t kSerialCutoff = 8192;
-    constexpr std::size_t kMinPerWorker = 4096;
-    if (n < kSerialCutoff || pool.size() <= 1) {
-        return 1;
-    }
-    return std::min(pool.size(),
-                    std::max<std::size_t>(1, n / kMinPerWorker));
+    constexpr std::size_t kMinPerWorker = 16384;
+    return std::clamp<std::size_t>(n / kMinPerWorker, 1, pool.size());
 }
 
 /** Shared state of one counting or scatter pass (pointer-captured). */
@@ -205,8 +213,8 @@ runs_from_boundaries(ThreadPool& pool, std::size_t workers,
 
 /**
  * Radix-sort one direction of the batch into `out`.  `fused_hist` carries
- * pass-0 counts from the fused pass (16-bit plans), so the raw batch is
- * not re-read for counting; pass it null to count locally (8-bit plans).
+ * the pass-0 counts of the fused pass, so the raw batch is not re-read
+ * for counting.
  */
 template <typename KeyOf>
 void
@@ -241,9 +249,8 @@ radix_direction(std::span<const StreamEdge> raw, ReorderScratch& s,
             std::min<std::size_t>(stride,
                                   static_cast<std::size_t>(max_digit) + 1);
 
-        const bool have_counts = p == 0 && fused_hist != nullptr;
-        ctx.hist = have_counts ? fused_hist : s.hist.data();
-        if (!have_counts) {
+        ctx.hist = p == 0 ? fused_hist : s.hist.data();
+        if (p > 0) {
             count_pass<KeyOf>(pool, workers, ctx);
         }
         radix_exclusive_offsets(ctx.hist, workers, stride, ctx.buckets_used);
@@ -263,14 +270,29 @@ radix_direction(std::span<const StreamEdge> raw, ReorderScratch& s,
     }
 }
 
-/** Shared state of the fused histogram + max-vertex pass. */
+/** Max vertex id of the batch: per worker chunk, then reduced. */
+VertexId
+max_vertex_radix(std::span<const StreamEdge> edges, ThreadPool& pool,
+                 std::size_t workers, ReorderScratch& s)
+{
+    ensure_scratch_size(s.worker_max, workers);
+    run_workers(pool, workers, [&](std::size_t w) {
+        s.worker_max[w] = max_vertex_of(
+            edges.subspan(s.bounds[w], s.bounds[w + 1] - s.bounds[w]));
+    });
+    return *std::max_element(s.worker_max.begin(),
+                             s.worker_max.begin() +
+                                 static_cast<std::ptrdiff_t>(workers));
+}
+
+/** Shared state of the fused pass-0 histogram pass (pointer-captured). */
 struct FusedCtx {
     const StreamEdge* in = nullptr;
     std::uint32_t* hist_src = nullptr;
     std::uint32_t* hist_dst = nullptr;
     const std::size_t* bounds = nullptr;
-    VertexId* worker_max = nullptr;
     std::size_t stride = 0;
+    std::size_t buckets_used = 0;
     std::uint32_t mask = 0;
 };
 
@@ -298,50 +320,36 @@ reorder_batch_radix(std::span<const StreamEdge> edges, ThreadPool& pool,
         s.bounds[w] = n * w / workers;
     }
 
-    RadixPlan plan = plan_radix(n, /*max_key=*/0); // bits fixed by n
+    // The key range fixes the digit plan, so the max vertex id comes
+    // first (it also subsumes the engine's capacity scan).
+    const VertexId max_v = max_vertex_radix(edges, pool, workers, s);
+    const RadixPlan plan = plan_radix(n, max_v);
     const std::size_t stride = plan.buckets();
-    VertexId max_v = 0;
 
-    bool fused = plan.bits == kMaxRadixBits;
-    if (fused) {
-        // One pass over the raw batch: src + dst low-digit histograms and
-        // the max vertex id (subsumes the engine's capacity scan).
-        ensure_scratch_size(s.hist, workers * stride);
-        ensure_scratch_size(s.hist_dst, workers * stride);
-        ensure_scratch_size(s.worker_max, workers);
-        FusedCtx ctx{edges.data(), s.hist.data(),     s.hist_dst.data(),
-                     s.bounds.data(), s.worker_max.data(), stride,
-                     plan.mask()};
-        run_workers(pool, workers, [c = &ctx](std::size_t w) {
-            std::uint32_t* src_row = c->hist_src + w * c->stride;
-            std::uint32_t* dst_row = c->hist_dst + w * c->stride;
-            std::fill_n(src_row, c->stride, 0u);
-            std::fill_n(dst_row, c->stride, 0u);
-            VertexId max_v = 0;
-            for (std::size_t i = c->bounds[w]; i < c->bounds[w + 1]; ++i) {
-                const StreamEdge& e = c->in[i];
-                ++src_row[e.src & c->mask];
-                ++dst_row[e.dst & c->mask];
-                max_v = std::max({max_v, e.src, e.dst});
-            }
-            c->worker_max[w] = max_v;
-        });
-        for (std::size_t w = 0; w < workers; ++w) {
-            max_v = std::max(max_v, s.worker_max[w]);
+    // One pass over the raw batch: pass-0 histograms of both directions.
+    ensure_scratch_size(s.hist, workers * stride);
+    ensure_scratch_size(s.hist_dst, workers * stride);
+    FusedCtx ctx{edges.data(),   s.hist.data(), s.hist_dst.data(),
+                 s.bounds.data(), stride,
+                 std::min<std::size_t>(stride,
+                                       static_cast<std::size_t>(max_v) + 1),
+                 plan.mask()};
+    run_workers(pool, workers, [c = &ctx](std::size_t w) {
+        std::uint32_t* src_row = c->hist_src + w * c->stride;
+        std::uint32_t* dst_row = c->hist_dst + w * c->stride;
+        std::fill_n(src_row, c->buckets_used, 0u);
+        std::fill_n(dst_row, c->buckets_used, 0u);
+        for (std::size_t i = c->bounds[w]; i < c->bounds[w + 1]; ++i) {
+            const StreamEdge& e = c->in[i];
+            ++src_row[e.src & c->mask];
+            ++dst_row[e.dst & c->mask];
         }
-    } else {
-        max_v = max_vertex_of(edges);
-    }
-
-    // Now that the key range is known, fix the pass count.  The fused
-    // histograms remain valid pass-0 counts regardless of the pass count.
-    plan = plan_radix(n, max_v);
-    IGS_CHECK(plan.buckets() == stride);
+    });
 
     radix_direction<SrcKey>(edges, s, s.rb.by_src, plan, workers, pool,
-                            fused ? s.hist.data() : nullptr, max_v);
+                            s.hist.data(), max_v);
     radix_direction<DstKey>(edges, s, s.rb.by_dst, plan, workers, pool,
-                            fused ? s.hist_dst.data() : nullptr, max_v);
+                            s.hist_dst.data(), max_v);
     return max_v;
 }
 

@@ -167,6 +167,12 @@ namespace detail {
  * One direction of a USC update.  Per run: accumulate the run's insertions
  * into a hash table, scan the vertex's edge data once against it (updating
  * weights of matches in place), then append the remainder.
+ *
+ * A run whose only edge is an insert (most runs of a skewed batch) skips
+ * the table: the store's `apply_coalesced_one` makes the write a
+ * one-entry table would, bit for bit, without hashing every element of
+ * the row.  The context still gets the table path's hooks, so the model
+ * keeps charging the paper's USC cost (DESIGN.md §5).
  */
 template <typename Graph, typename Ctx>
 void
@@ -180,6 +186,18 @@ apply_usc_direction(Graph& g, const ReorderedDirection& rd, Direction dir,
         ctx.charge_run_overhead();
         if (dir == Direction::kOut) {
             touch_source(g, run.vertex, bid, probe);
+        }
+
+        if (run.size() == 1 && !rd.edges[run.begin].is_delete) {
+            const StreamEdge& e = rd.edges[run.begin];
+            const Neighbor nbr = dir == Direction::kOut
+                                     ? Neighbor{e.dst, e.weight}
+                                     : Neighbor{e.src, e.weight};
+            ctx.charge_hash_build(1);
+            const auto r = g.apply_coalesced_one(run.vertex, dir, nbr);
+            ctx.charge_coalesced_scan(r.len_before, r.len_before,
+                                      r.found ? 0 : 1);
+            return;
         }
 
         // Step 1 (Fig 8): populate the run's target -> weight table,

@@ -17,6 +17,15 @@
 #         equivalence harness and the depth>=2 dirty-set isolation test
 #         (memoized kernel state vs the published snapshot's dirty set,
 #         DESIGN.md §14) repeated until-fail; shares the tsan build tree
+#   tsan-kernels  focused TSan deep-run of the update kernels (the
+#         cross-path equivalence, the contended baseline/USC paths, the
+#         radix reorder against its oracle on pools of 1, 2 and 4, and
+#         the USC kernel's one-edge runs against the table path,
+#         DESIGN.md §5) repeated until-fail; shares the tsan build tree
+#   asan-seeds  the CI seed sweep (IGS_TEST_SEED 1..64) of the seeded
+#         harnesses — incremental equivalence, the pending hand-off,
+#         the snapshot harnesses and the USC one-edge runs — under
+#         ASan+UBSan; shares the asan build tree
 #   tsan-renumber  focused TSan deep-run of the vertex-id indirection /
 #         locality-renumbering suite (renumber at the ingest tail vs the
 #         depth>=2 compute stage reading published snapshots, DESIGN.md
@@ -33,8 +42,8 @@
 #         the static counterpart of the tsan legs) + fixture self-test
 #
 # Usage:  tools/check_matrix.sh [leg ...]
-#         (default: analyze asan asan-hybrid tsan tsan-pipeline
-#          tsan-hybrid tsan-incremental tsan-renumber tsa)
+#         (default: analyze asan asan-hybrid asan-seeds tsan tsan-pipeline
+#          tsan-hybrid tsan-incremental tsan-kernels tsan-renumber tsa)
 #
 # Each leg builds in its own tree (build-check-<leg>) with
 # CMAKE_BUILD_TYPE=Debug so IGS_DCHECK and the Spinlock owner assertions
@@ -46,8 +55,8 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 JOBS="${JOBS:-$(nproc 2>/dev/null || echo 4)}"
 LEGS=("$@")
 if [ ${#LEGS[@]} -eq 0 ]; then
-    LEGS=(analyze asan asan-hybrid tsan tsan-pipeline tsan-hybrid
-          tsan-incremental tsan-renumber tsa)
+    LEGS=(analyze asan asan-hybrid asan-seeds tsan tsan-pipeline
+          tsan-hybrid tsan-incremental tsan-kernels tsan-renumber tsa)
 fi
 
 # TSan suppressions: intentionally empty unless a race is provably benign
@@ -62,6 +71,7 @@ SKIPPED=()
 # Optional per-leg overrides, set by the caller before run_leg:
 #   IGS_CHECK_BDIR  build tree to (re)use instead of build-check-<leg>
 #   CTEST_EXTRA     extra ctest arguments (array), e.g. a -R filter
+#   SEED_SWEEP      run ctest once per IGS_TEST_SEED in 1..SEED_SWEEP
 run_leg() {
     local leg="$1"; shift
     local bdir="${IGS_CHECK_BDIR:-$ROOT/build-check-$leg}"
@@ -88,10 +98,23 @@ run_leg() {
         fi
         ;;
     esac
-    if ! (cd "$bdir" && "${env_prefix[@]}" ctest --output-on-failure -j "$JOBS" \
-            ${CTEST_EXTRA[@]+"${CTEST_EXTRA[@]}"}); then
-        FAILED+=("$leg (ctest)"); return 1
+    local seeds=("")
+    if [ -n "${SEED_SWEEP:-}" ]; then
+        seeds=($(seq 1 "$SEED_SWEEP"))
     fi
+    local seed
+    for seed in "${seeds[@]}"; do
+        local seed_env=()
+        if [ -n "$seed" ]; then
+            echo "IGS_TEST_SEED=$seed"
+            seed_env=(env IGS_TEST_SEED="$seed")
+        fi
+        if ! (cd "$bdir" && "${seed_env[@]}" "${env_prefix[@]}" ctest \
+                --output-on-failure -j "$JOBS" \
+                ${CTEST_EXTRA[@]+"${CTEST_EXTRA[@]}"}); then
+            FAILED+=("$leg (ctest${seed:+, IGS_TEST_SEED=$seed})"); return 1
+        fi
+    done
     PASSED+=("$leg")
 }
 
@@ -170,6 +193,28 @@ for leg in "${LEGS[@]}"; do
         run_leg tsan-incremental -DIGS_SANITIZE=thread
         unset IGS_CHECK_BDIR CTEST_EXTRA
         ;;
+      asan-seeds)
+        # The CI workflow's seed sweep: every seeded harness over
+        # IGS_TEST_SEED 1..64 (a failure names its seed), here under
+        # ASan+UBSan.  Reuses the asan tree.
+        IGS_CHECK_BDIR="$ROOT/build-check-asan"
+        CTEST_EXTRA=(-R '^(IncrementalEquivalence|PendingAccumulator|SnapshotStore|UscOneEdgeRun)\.')
+        SEED_SWEEP=64
+        run_leg asan-seeds -DIGS_SANITIZE=address,undefined
+        unset IGS_CHECK_BDIR CTEST_EXTRA SEED_SWEEP
+        ;;
+      tsan-kernels)
+        # Focused TSan deep-run of the update kernels: the parallel
+        # radix passes (pools of 1, 2 and 4 in RadixOracleTest) and the
+        # USC run body (the one-edge path and the table path under run
+        # ownership), with the kernels' cross-path equivalence and the
+        # contended baseline/USC paths.  Reuses the tsan tree.
+        IGS_CHECK_BDIR="$ROOT/build-check-tsan"
+        CTEST_EXTRA=(-R 'KernelEquivalence|ConcurrencyUpdatePath|RadixOracle|UscOneEdgeRun'
+                     --repeat until-fail:3)
+        run_leg tsan-kernels -DIGS_SANITIZE=thread
+        unset IGS_CHECK_BDIR CTEST_EXTRA
+        ;;
       tsan-renumber)
         # Focused TSan deep-run of the renumber suite: the engine applies
         # a renumber (live-row move-permute + map rebind) at the ingest
@@ -192,9 +237,9 @@ for leg in "${LEGS[@]}"; do
         fi
         ;;
       *)
-        echo "unknown leg: $leg (known: analyze asan asan-hybrid tsan" \
-             "tsan-pipeline tsan-hybrid tsan-incremental tsan-renumber" \
-             "tsa)" >&2
+        echo "unknown leg: $leg (known: analyze asan asan-hybrid" \
+             "asan-seeds tsan tsan-pipeline tsan-hybrid tsan-incremental" \
+             "tsan-kernels tsan-renumber tsa)" >&2
         FAILED+=("$leg (unknown)")
         ;;
     esac
