@@ -119,27 +119,6 @@ struct PipelineTelemetry {
     }
 };
 
-/** Renumbering telemetry (DESIGN.md §16), resolved on the first scored
- *  window.  Lazy for the same reason as PipelineTelemetry: runs with
- *  renumbering disabled must not grow the registry snapshot. */
-struct RenumberTelemetry {
-    telemetry::Counter& total;
-    telemetry::Counter& windows;
-    telemetry::Gauge& ewma;
-
-    static RenumberTelemetry&
-    get()
-    {
-        auto& r = telemetry::Registry::global();
-        static RenumberTelemetry t{
-            r.counter("core.graph.renumber_total"),
-            r.counter("core.graph.renumber_windows"),
-            r.gauge("core.graph.renumber_locality_ewma"),
-        };
-        return t;
-    }
-};
-
 } // namespace
 
 const char*
@@ -222,7 +201,7 @@ BasicRealTimeEngine<GraphT>::BasicRealTimeEngine(const EngineConfig& config,
                                                  std::size_t num_vertices,
                                                  ThreadPool& pool)
     : core_(config, pool), graph_(num_vertices), pool_(pool),
-      reorderer_(config.reorder_mode), locality_monitor_(config.renumber)
+      reorderer_(config.reorder_mode)
 {
     // Adaptive backends take their tier/migration thresholds from the
     // engine config; fixed-layout backends have no such hook.
@@ -369,56 +348,7 @@ BasicRealTimeEngine<GraphT>::ingest(const stream::EdgeBatch& batch)
     if (compute_fn_ && compute_due_) {
         publish_epoch();
     }
-    // Disabled (the default) costs one branch here; the identity map
-    // keeps every read/write path bit-identical to pre-indirection code.
-    if (core_.config().renumber.enabled) {
-        maybe_renumber(batch);
-    }
     return report;
-}
-
-template <typename GraphT>
-void
-BasicRealTimeEngine<GraphT>::maybe_renumber(const stream::EdgeBatch& batch)
-{
-    if constexpr (requires {
-                      graph_.apply_renumber(std::span<const VertexId>{});
-                      graph_.id_map();
-                  }) {
-        // One window = one batch: every update touches its src row (out)
-        // and dst row (in).
-        for (const StreamEdge& e : batch.edges()) {
-            locality_monitor_.observe(e.src);
-            locality_monitor_.observe(e.dst);
-        }
-        renumber_stats_.locality_ewma =
-            locality_monitor_.end_window(graph_.id_map());
-        renumber_stats_.last_window_score =
-            locality_monitor_.last_window_score();
-        renumber_stats_.windows = locality_monitor_.windows();
-        auto& t = RenumberTelemetry::get();
-        t.windows.inc();
-        t.ewma.set(renumber_stats_.locality_ewma);
-        if (!locality_monitor_.should_renumber()) {
-            return;
-        }
-        const std::size_t n = graph_.num_vertices();
-        std::vector<std::uint64_t> degrees(n);
-        for (std::size_t v = 0; v < n; ++v) {
-            const auto lv = static_cast<VertexId>(v);
-            degrees[v] = static_cast<std::uint64_t>(
-                             graph_.degree(lv, Direction::kOut)) +
-                         graph_.degree(lv, Direction::kIn);
-        }
-        graph_.apply_renumber(graph::LocalityRenumberer::plan(
-            degrees, core_.config().renumber.mode));
-        locality_monitor_.note_renumbered();
-        renumber_stats_.renumbers += 1;
-        renumber_stats_.locality_ewma = locality_monitor_.ewma();
-        t.total.inc();
-    } else {
-        (void)batch;
-    }
 }
 
 template class BasicRealTimeEngine<graph::AdjacencyList>;
@@ -484,16 +414,6 @@ graph::SnapshotView
 AnyRealTimeEngine::snapshot() const
 {
     return std::visit([](const auto& e) { return e.snapshot(); }, engine_);
-}
-
-const RenumberStats&
-AnyRealTimeEngine::renumber_stats() const
-{
-    return std::visit(
-        [](const auto& e) -> const RenumberStats& {
-            return e.renumber_stats();
-        },
-        engine_);
 }
 
 const PipelineStats&

@@ -35,7 +35,6 @@
 #include "core/oca.h"
 #include "graph/adjacency_list.h"
 #include "graph/hybrid_store.h"
-#include "graph/renumber.h"
 #include "graph/snapshot_view.h"
 #include "graph/store_tuning.h"
 #include "stream/batch.h"
@@ -100,29 +99,6 @@ struct EngineConfig {
      * the hand-off's input statistics.
      */
     stream::IncrementalPolicyParams incremental;
-    /**
-     * Input-aware locality renumbering (DESIGN.md §16).  Disabled by
-     * default: every backend stays on the identity map and the engine's
-     * output is bit-identical to the pre-indirection code.  When enabled,
-     * the engine scores each batch's access locality
-     * (graph::LocalityMonitor) and re-places adjacency rows
-     * (graph::LocalityRenumberer + GraphT::apply_renumber) when the
-     * smoothed score crosses the threshold.  External/logical vertex ids
-     * are stable across renumbering.
-     */
-    graph::RenumberParams renumber;
-};
-
-/** Locality-renumbering activity of one engine (DESIGN.md §16). */
-struct RenumberStats {
-    /** Renumber passes applied to the live graph. */
-    std::uint64_t renumbers = 0;
-    /** Locality windows (= batches) scored so far. */
-    std::uint64_t windows = 0;
-    /** Smoothed locality score in (0, 1]; 1.0 = nothing to gain. */
-    double locality_ewma = 1.0;
-    /** Raw score of the most recent window. */
-    double last_window_score = 1.0;
 };
 
 /** Everything the engine did with one batch. */
@@ -306,25 +282,12 @@ class BasicRealTimeEngine {
 
     const PipelineStats& pipeline_stats() const { return pipeline_stats_; }
 
-    /** Locality-renumbering activity (all zeros unless
-     *  EngineConfig::renumber.enabled). */
-    const RenumberStats& renumber_stats() const { return renumber_stats_; }
-
     const EngineConfig& config() const { return core_.config(); }
 
   private:
     void publish_epoch();
     /** Join the in-flight round, then rethrow what it threw, if anything. */
     void join_inflight();
-    /**
-     * Score the batch's access locality and renumber the live graph if
-     * the ABR-style trigger fires.  Runs at the tail of `ingest`, after
-     * any epoch publication: a depth-2 compute round reads only the
-     * snapshot's copied rows, and a depth-1 round has already returned,
-     * so re-placing live rows here is safe.
-     * Compiled out for backends without apply_renumber/id_map.
-     */
-    void maybe_renumber(const stream::EdgeBatch& batch);
 
     detail::DecisionCore core_;
     GraphT graph_;
@@ -335,9 +298,6 @@ class BasicRealTimeEngine {
     stream::UscScratch usc_scratch_;
     detail::PendingAccumulator pending_;
     bool compute_due_ = false;
-    /** Per-batch locality windows (only fed when renumbering is on). */
-    graph::LocalityMonitor locality_monitor_;
-    RenumberStats renumber_stats_;
 
     // --- pipeline state (only active once set_compute was called) -------
     ComputeFn compute_fn_;
@@ -384,7 +344,6 @@ class AnyRealTimeEngine {
     void flush_pipeline();
     graph::SnapshotView snapshot() const;
     const PipelineStats& pipeline_stats() const;
-    const RenumberStats& renumber_stats() const;
     const EngineConfig& config() const;
 
     /** The concrete engine for backend `GraphT` (throws on mismatch). */

@@ -7,8 +7,7 @@ namespace igs::graph {
 ApplyResult
 AdjacencyList::apply_insert(VertexId v, Neighbor nbr, Direction dir)
 {
-    const VertexId p = map_.to_physical(v);
-    auto& edges = row(p, dir);
+    auto& edges = row(v, dir);
     ApplyResult r;
     r.len_before = static_cast<std::uint32_t>(edges.size());
     for (std::uint32_t i = 0; i < r.len_before; ++i) {
@@ -17,7 +16,7 @@ AdjacencyList::apply_insert(VertexId v, Neighbor nbr, Direction dir)
             edges[i].weight += nbr.weight;
             r.found = true;
             r.written_at = i;
-            marks_.lower(p, dir, i);
+            marks_.lower(v, dir, i);
             return r;
         }
     }
@@ -28,7 +27,7 @@ AdjacencyList::apply_insert(VertexId v, Neighbor nbr, Direction dir)
     // igs-lint: allow(hot-path-alloc)
     edges.push_back(nbr);
     r.written_at = r.len_before;
-    marks_.lower(p, dir, r.written_at);
+    marks_.lower(v, dir, r.written_at);
     if (dir == Direction::kOut) {
         num_edges_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -38,8 +37,7 @@ AdjacencyList::apply_insert(VertexId v, Neighbor nbr, Direction dir)
 ApplyResult
 AdjacencyList::apply_remove(VertexId v, VertexId nbr_id, Direction dir)
 {
-    const VertexId p = map_.to_physical(v);
-    auto& edges = row(p, dir);
+    auto& edges = row(v, dir);
     ApplyResult r;
     r.len_before = static_cast<std::uint32_t>(edges.size());
     for (std::uint32_t i = 0; i < r.len_before; ++i) {
@@ -50,7 +48,7 @@ AdjacencyList::apply_remove(VertexId v, VertexId nbr_id, Direction dir)
             edges.pop_back();
             r.found = true;
             r.written_at = i;
-            marks_.lower(p, dir, i);
+            marks_.lower(v, dir, i);
             if (dir == Direction::kOut) {
                 num_edges_.fetch_sub(1, std::memory_order_relaxed);
             }
@@ -64,8 +62,7 @@ std::size_t
 AdjacencyList::apply_coalesced(VertexId v, Direction dir,
                                FlatWeightTable& table)
 {
-    const VertexId p = map_.to_physical(v);
-    auto& edges = row(p, dir);
+    auto& edges = row(v, dir);
     // Steps 2-3 (Fig 8): one scan of the edge data, a hash lookup per
     // element, draining matches (the weight accumulates in place).
     std::uint32_t written_at = kRowUnchanged;
@@ -91,7 +88,7 @@ AdjacencyList::apply_coalesced(VertexId v, Direction dir,
             num_edges_.fetch_add(appended, std::memory_order_relaxed);
         }
     }
-    marks_.lower(p, dir, written_at);
+    marks_.lower(v, dir, written_at);
     return appended;
 }
 

@@ -145,11 +145,10 @@ DahEdgeSet::grow_table()
 ApplyResult
 DegreeAwareHash::apply_insert(VertexId v, Neighbor nbr, Direction dir)
 {
-    const VertexId p = map_.to_physical(v);
-    auto& set = row(p, dir);
+    auto& set = row(v, dir);
     // igs-lint: allow(hot-path-alloc) -- streamed insert is the workload
     const ApplyResult r = set.insert(nbr, tuning_.dah_hash_threshold);
-    marks_.lower(p, dir, r.written_at);
+    marks_.lower(v, dir, r.written_at);
     if (!r.found && dir == Direction::kOut) {
         num_edges_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -159,10 +158,9 @@ DegreeAwareHash::apply_insert(VertexId v, Neighbor nbr, Direction dir)
 ApplyResult
 DegreeAwareHash::apply_remove(VertexId v, VertexId nbr_id, Direction dir)
 {
-    const VertexId p = map_.to_physical(v);
-    auto& set = row(p, dir);
+    auto& set = row(v, dir);
     const ApplyResult r = set.remove(nbr_id);
-    marks_.lower(p, dir, r.written_at);
+    marks_.lower(v, dir, r.written_at);
     if (r.found && dir == Direction::kOut) {
         num_edges_.fetch_sub(1, std::memory_order_relaxed);
     }

@@ -9,7 +9,7 @@
  * O(1) instead of an O(degree) scan.
  *
  * The vertex table around the edge sets — locks, latest_bid, epoch,
- * change marks, id map — is the one every store shares
+ * change marks — is the one every store shares
  * (graph/live_store.h), and so are the engine-wide update semantics
  * (weight accumulation on duplicates, insertions before deletions).
  */

@@ -31,12 +31,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <span>
 #include <utility>
 #include <vector>
 
 #include "common/types.h"
-#include "graph/vertex_id_map.h"
 
 namespace igs::graph {
 
@@ -68,7 +66,7 @@ inline constexpr std::uint32_t kRowUnchanged =
     std::numeric_limits<std::uint32_t>::max();
 
 /**
- * Per-row change marks of a live store, indexed by physical row like the
+ * Per-row change marks of a live store, indexed by vertex id like the
  * rows themselves.  See the file comment for the ownership contract.
  */
 class ChangeMarks {
@@ -82,19 +80,19 @@ class ChangeMarks {
         in_.resize(n, kRowUnchanged);
     }
 
-    /** Lower physical row `p`'s mark to `at` (kRowUnchanged: no-op). */
+    /** Lower `v`'s `dir` mark to `at` (kRowUnchanged: no-op). */
     void
-    lower(VertexId p, Direction dir, std::uint32_t at)
+    lower(VertexId v, Direction dir, std::uint32_t at)
     {
-        std::uint32_t& m = mark(p, dir);
+        std::uint32_t& m = mark(v, dir);
         m = std::min(m, at);
     }
 
-    /** Physical row `p`'s mark, which is reset to unchanged. */
+    /** `v`'s `dir` mark, which is reset to unchanged. */
     std::uint32_t
-    take(VertexId p, Direction dir)
+    take(VertexId v, Direction dir)
     {
-        return std::exchange(mark(p, dir), kRowUnchanged);
+        return std::exchange(mark(v, dir), kRowUnchanged);
     }
 
     /** Mark every row unchanged (after a whole-graph copy). */
@@ -105,30 +103,11 @@ class ChangeMarks {
         std::fill(in_.begin(), in_.end(), kRowUnchanged);
     }
 
-    /**
-     * Move the marks with the rows of an `apply_renumber`: logical
-     * vertex l's marks leave row `old_map.to_physical(l)` for row
-     * `l2p[l]`.  Call before rebinding `old_map`.
-     */
-    void
-    renumber(const VertexIdMap& old_map, std::span<const VertexId> l2p)
-    {
-        ChangeMarks moved;
-        moved.grow(out_.size());
-        for (std::size_t l = 0; l < l2p.size(); ++l) {
-            const VertexId p_old =
-                old_map.to_physical(static_cast<VertexId>(l));
-            moved.out_[l2p[l]] = out_[p_old];
-            moved.in_[l2p[l]] = in_[p_old];
-        }
-        *this = std::move(moved);
-    }
-
   private:
     std::uint32_t&
-    mark(VertexId p, Direction dir)
+    mark(VertexId v, Direction dir)
     {
-        return dir == Direction::kOut ? out_[p] : in_[p];
+        return dir == Direction::kOut ? out_[v] : in_[v];
     }
 
     std::vector<std::uint32_t> out_;

@@ -375,10 +375,9 @@ HybridStore::remove_from(HybridEdgeSet& set, VertexId nbr_id)
 ApplyResult
 HybridStore::apply_insert(VertexId v, Neighbor nbr, Direction dir)
 {
-    const VertexId p = map_.to_physical(v);
-    auto& set = row(p, dir);
+    auto& set = row(v, dir);
     const ApplyResult r = insert_into(set, nbr, dir);
-    marks_.lower(p, dir, r.written_at);
+    marks_.lower(v, dir, r.written_at);
     if (!r.found && dir == Direction::kOut) {
         num_edges_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -388,10 +387,9 @@ HybridStore::apply_insert(VertexId v, Neighbor nbr, Direction dir)
 ApplyResult
 HybridStore::apply_remove(VertexId v, VertexId nbr_id, Direction dir)
 {
-    const VertexId p = map_.to_physical(v);
-    auto& set = row(p, dir);
+    auto& set = row(v, dir);
     const ApplyResult r = remove_from(set, nbr_id);
-    marks_.lower(p, dir, r.written_at);
+    marks_.lower(v, dir, r.written_at);
     if (r.found && dir == Direction::kOut) {
         num_edges_.fetch_sub(1, std::memory_order_relaxed);
     }
@@ -401,8 +399,7 @@ HybridStore::apply_remove(VertexId v, VertexId nbr_id, Direction dir)
 std::size_t
 HybridStore::apply_coalesced(VertexId v, Direction dir, FlatWeightTable& table)
 {
-    const VertexId p = map_.to_physical(v);
-    auto& set = row(p, dir);
+    auto& set = row(v, dir);
     // Steps 2-3 (Fig 8): one scan of the edge data, draining table
     // entries that match existing edges (weight accumulates in place).
     const std::span<Neighbor> row = set.view_mut();
@@ -410,7 +407,7 @@ HybridStore::apply_coalesced(VertexId v, Direction dir, FlatWeightTable& table)
         Weight w = 0.0f;
         if (table.drain(row[i].id, &w)) {
             row[i].weight += w;
-            marks_.lower(p, dir, i);
+            marks_.lower(v, dir, i);
         }
     }
     // Step 4: the remainder is new edges by construction; the tiered
@@ -420,7 +417,7 @@ HybridStore::apply_coalesced(VertexId v, Direction dir, FlatWeightTable& table)
     table.for_each([&](VertexId target, Weight w) {
         const ApplyResult r = insert_into(set, Neighbor{target, w}, dir);
         IGS_DCHECK(!r.found);
-        marks_.lower(p, dir, r.written_at);
+        marks_.lower(v, dir, r.written_at);
         ++appended;
     });
     if (dir == Direction::kOut && appended != 0) {
@@ -432,15 +429,14 @@ HybridStore::apply_coalesced(VertexId v, Direction dir, FlatWeightTable& table)
 ApplyResult
 HybridStore::apply_coalesced_one(VertexId v, Direction dir, Neighbor nbr)
 {
-    const VertexId p = map_.to_physical(v);
-    auto& set = row(p, dir);
+    auto& set = row(v, dir);
     const std::uint32_t at = set.position_of(nbr.id);
     if (at == set.size()) {
         // A miss takes the tiered insert, as apply_coalesced's remainder.
         return apply_insert(v, nbr, dir);
     }
     set.view_mut()[at].weight += nbr.weight;
-    marks_.lower(p, dir, at);
+    marks_.lower(v, dir, at);
     ApplyResult r;
     r.found = true;
     r.len_before = set.size();

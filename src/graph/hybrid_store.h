@@ -31,7 +31,7 @@
  * std::span<const Neighbor>, so the store satisfies graph::GraphStore and
  * plugs into SnapshotStore publication and every analytics read path
  * unchanged.  The vertex table around the edge sets — locks, bids, epoch,
- * change marks, id map — is the one every store shares
+ * change marks — is the one every store shares
  * (graph/live_store.h), and the heap arrays grow by the shared rule of
  * graph/edge_rows.h.  Telemetry: core.graph.tier_* (registered lazily on
  * first use so runs that never construct a HybridStore keep their golden
@@ -141,7 +141,7 @@ class HybridEdgeSet {
 /**
  * Dynamic directed graph over @ref HybridEdgeSet per vertex/direction.
  * Drop-in peer of AdjacencyList for the real-time engine: the same
- * vertex table (locks, latest_bid, epoch, change marks, id map) and the
+ * vertex table (locks, latest_bid, epoch, change marks) and the
  * same @ref apply_coalesced USC surface (here the tiered insert keeps
  * the hash index consistent with the dense array).
  */

@@ -8,8 +8,7 @@
  * @ref HybridEdgeSet, or SAGA-Bench's array-or-hash @ref DahEdgeSet.
  * Everything around that container lives here once, as GraphTango splits
  * a store into one vertex table and a degree-adaptive edge set per vertex:
- *  - the out/in rows, indexed by physical id through a @ref VertexIdMap
- *    (DESIGN.md §16); `apply_renumber` move-permutes them;
+ *  - the out/in rows, indexed by vertex id;
  *  - the per-vertex/per-direction locks of the baseline update path;
  *  - the per-vertex `latest_bid` the paper adds for OCA's inter-batch
  *    overlap measurement (§5);
@@ -41,7 +40,6 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -49,7 +47,6 @@
 #include "common/spinlock.h"
 #include "common/types.h"
 #include "graph/edge_rows.h"
-#include "graph/vertex_id_map.h"
 
 namespace igs::graph {
 
@@ -102,15 +99,11 @@ class LiveStore {
      */
     void ensure_vertices(std::size_t n);
 
-    /** Per-vertex/per-direction lock for the baseline update path.
-     *  Lock index follows row placement so lock and row agree under any
-     *  map; locks are stateless between batches, so a renumber (which
-     *  runs between batches) never needs to permute them. */
+    /** Per-vertex/per-direction lock for the baseline update path. */
     Spinlock&
     lock(VertexId v, Direction dir)
     {
-        const VertexId p = map_.to_physical(v);
-        return dir == Direction::kOut ? out_locks_[p] : in_locks_[p];
+        return dir == Direction::kOut ? out_locks_[v] : in_locks_[v];
     }
 
     /** Degree of `v` in direction `dir`. */
@@ -132,8 +125,7 @@ class LiveStore {
     const EdgeSet&
     edge_set(VertexId v, Direction dir) const
     {
-        const VertexId p = map_.to_physical(v);
-        return dir == Direction::kOut ? out_[p] : in_[p];
+        return dir == Direction::kOut ? out_[v] : in_[v];
     }
 
     /** OCA support: batch id in which `v` last appeared as a source. */
@@ -173,7 +165,7 @@ class LiveStore {
     std::uint32_t
     take_change_mark(VertexId v, Direction dir)
     {
-        return marks_.take(map_.to_physical(v), dir);
+        return marks_.take(v, dir);
     }
 
     /** Mark every row unchanged (after a whole-graph publication). */
@@ -190,20 +182,6 @@ class LiveStore {
     template <typename Other>
     bool same_topology(const Other& other) const;
 
-    /**
-     * Re-place rows under a new logical->physical assignment (a
-     * permutation of [0, num_vertices()); see LocalityRenumberer).  Edge
-     * sets are move-permuted with their change marks — edge payloads
-     * (logical neighbor ids) are untouched, and `latest_bid` stays
-     * logical-indexed, so every public read is invariant under this call.
-     * Single-threaded, between batches, like `ensure_vertices`.  Declared
-     * backend capability (tools/layers.toml [semantic.backends.*]).
-     */
-    void apply_renumber(std::span<const VertexId> l2p);
-
-    /** The logical/physical id map (identity until `apply_renumber`). */
-    const VertexIdMap& id_map() const { return map_; }
-
   protected:
     /** Create a graph over vertices [0, num_vertices). */
     explicit LiveStore(std::size_t num_vertices)
@@ -216,8 +194,8 @@ class LiveStore {
      * not assignable: the atomic edge count rules out the implicit
      * moves.  The moved-from store is left empty and reusable: the edge
      * count is transferred with an exchange so the source reads 0
-     * afterwards, and its bid/lock bookkeeping, epoch and id map are
-     * reset to match.
+     * afterwards, and its bid/lock bookkeeping and epoch are reset to
+     * match.
      */
     LiveStore(LiveStore&& other) noexcept
         : out_(std::move(other.out_)), in_(std::move(other.in_)),
@@ -226,18 +204,17 @@ class LiveStore {
           latest_bid_(std::move(other.latest_bid_)),
           slots_(std::exchange(other.slots_, 0)),
           epoch_(std::exchange(other.epoch_, 0)),
-          map_(std::move(other.map_)), marks_(std::move(other.marks_)),
+          marks_(std::move(other.marks_)),
           num_edges_(other.num_edges_.exchange(0, std::memory_order_relaxed))
     {
-        other.map_.reset();
     }
 
-    /** Physical row `p`'s `dir` edge set (the mutators' access). */
+    /** `v`'s `dir` edge set (the mutators' access). */
     EdgeSet&
-    row(VertexId p, Direction dir)
+    row(VertexId v, Direction dir)
     {
-        IGS_DCHECK(p < out_.size());
-        return dir == Direction::kOut ? out_[p] : in_[p];
+        IGS_DCHECK(v < out_.size());
+        return dir == Direction::kOut ? out_[v] : in_[v];
     }
 
     // A derived store's mutators write rows, change marks and the edge
@@ -250,7 +227,6 @@ class LiveStore {
     /** Slots allocated in latest_bid_ and both lock arrays. */
     std::size_t slots_ = 0;
     EpochId epoch_ = 0;
-    VertexIdMap map_;
     ChangeMarks marks_;
     std::atomic<EdgeId> num_edges_{0};
 };
@@ -318,28 +294,6 @@ LiveStore<EdgeSet>::same_topology(const Other& other) const
         }
     }
     return true;
-}
-
-template <typename EdgeSet>
-void
-LiveStore<EdgeSet>::apply_renumber(std::span<const VertexId> l2p)
-{
-    IGS_CHECK_MSG(l2p.size() == out_.size(),
-                  "apply_renumber: assignment must cover the vertex space");
-    const std::size_t n = out_.size();
-    // Move-permute the edge sets; their heap storage travels with them,
-    // so the operation is O(n) set moves regardless of edge count.
-    std::vector<EdgeSet> new_out(n);
-    std::vector<EdgeSet> new_in(n);
-    for (std::size_t l = 0; l < n; ++l) {
-        const VertexId p_old = map_.to_physical(static_cast<VertexId>(l));
-        new_out[l2p[l]] = std::move(out_[p_old]);
-        new_in[l2p[l]] = std::move(in_[p_old]);
-    }
-    out_ = std::move(new_out);
-    in_ = std::move(new_in);
-    marks_.renumber(map_, l2p);
-    map_.rebind(l2p);
 }
 
 } // namespace igs::graph

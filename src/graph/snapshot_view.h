@@ -75,8 +75,8 @@ class SnapshotStore;
  *    (SnapshotStore::view(); the pipeline at depth >= 2), valid until
  *    that store's next `publish` or destruction;
  *  - a live store's own rows (@ref over_live; depth 1, DESIGN.md §11.3),
- *    read through the store's `edges()`, so logical ids stay logical
- *    under a renumber.  Valid only while nothing writes the store.
+ *    read through the store's `edges()`, whatever its edge-set type.
+ *    Valid only while nothing writes the store.
  * Cheap to copy (pointers + counters); satisfies graph::GraphStore.
  */
 class SnapshotView {

@@ -234,11 +234,6 @@ TYPED_TEST(LiveStoreContract, MoveLeavesSourceEmptyAndReusable)
     }
     a.exchange_latest_bid(5, 9);
     a.advance_epoch();
-    std::vector<VertexId> reversed(kN);
-    for (VertexId l = 0; l < kN; ++l) {
-        reversed[l] = static_cast<VertexId>(kN - 1 - l);
-    }
-    a.apply_renumber(reversed);
     const std::vector<Neighbor> row3 = a.sorted_edges(3, kOut);
 
     TypeParam b(std::move(a));
@@ -246,7 +241,6 @@ TYPED_TEST(LiveStoreContract, MoveLeavesSourceEmptyAndReusable)
     EXPECT_EQ(b.num_edges(), 12u);
     EXPECT_EQ(b.epoch(), 1u);
     EXPECT_EQ(b.latest_bid(5), 9u);
-    EXPECT_TRUE(b.id_map().enabled());
     EXPECT_EQ(b.sorted_edges(3, kOut), row3);
     EXPECT_EQ(b.degree(7, kIn), 1u);
     if constexpr (std::is_same_v<TypeParam, HybridStore>) {
@@ -257,7 +251,6 @@ TYPED_TEST(LiveStoreContract, MoveLeavesSourceEmptyAndReusable)
     EXPECT_EQ(a.num_vertices(), 0u); // NOLINT(bugprone-use-after-move)
     EXPECT_EQ(a.num_edges(), 0u);
     EXPECT_EQ(a.epoch(), 0u);
-    EXPECT_FALSE(a.id_map().enabled());
     a.ensure_vertices(4);
     EXPECT_EQ(a.latest_bid(3), 0u);
     {

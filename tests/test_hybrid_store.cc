@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <numeric>
 #include <optional>
 #include <string>
 #include <utility>
@@ -217,8 +216,8 @@ expect_gauges_match_scan(const HybridStore& g)
 /**
  * The tier gauges follow from promotion counts.  After every batch they
  * must equal the scan, through the locked baseline kernel on two workers
- * and the run-owned USC kernel, vertex growth, one renumber and one move
- * (the moved-from store reads 0 vertices and all-zero gauges).  The
+ * and the run-owned USC kernel, vertex growth and one move (the
+ * moved-from store reads 0 vertices and all-zero gauges).  The
  * test also runs a tuning that hashes at one past the inline capacity,
  * so one insert promotes a row twice (inline -> sorted -> hashed).
  */
@@ -256,12 +255,6 @@ census_counts_match_scan(std::uint64_t seed, const StoreTuning& tuning)
             stream::apply_batch_usc(
                 *live, batch, stream::reorder_batch(batch.edges(), pool),
                 ctx);
-        }
-        if (b == 8) {
-            std::vector<VertexId> l2p(live->num_vertices());
-            std::iota(l2p.begin(), l2p.end(), VertexId{0});
-            std::shuffle(l2p.begin(), l2p.end(), rng);
-            live->apply_renumber(l2p);
         }
         if (b == 16) {
             second.emplace(std::move(first));

@@ -16,7 +16,6 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
-#include <numeric>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -327,13 +326,12 @@ struct Replica {
 /**
  * Drive `Live` with a seeded stream through every update kernel and
  * publish after each group of 1-3 batches, checking snapshot == live
- * after every publication.  The stream's vertex space widens halfway,
- * and two publications are preceded by an apply_renumber.
+ * after every publication.  The stream's vertex space widens halfway.
  *
- * With `pooled`, a second replica receives the same batches, kernels and
- * renumberings and publishes on `pooled` while the first publishes on the
- * caller's thread; after every publication the two snapshots must be
- * identical and their PublishStats equal.  Updates then run on one worker
+ * With `pooled`, a second replica receives the same batches and kernels
+ * and publishes on `pooled` while the first publishes on the caller's
+ * thread; after every publication the two snapshots must be identical
+ * and their PublishStats equal.  Updates then run on one worker
  * so the two live stores hold every row in the same order, and the
  * vertex space is four times wider so the dirty sets and the first
  * publication span several publication chunks.
@@ -401,15 +399,6 @@ snapshot_tracks_live(std::uint64_t seed, ThreadPool* pooled = nullptr)
                 }
             }
             pending.note_batch(batch);
-        }
-        if (epoch == 8 || epoch == 16) {
-            // Re-place every row; marks must travel with their rows.
-            std::vector<VertexId> l2p(live.num_vertices());
-            std::iota(l2p.begin(), l2p.end(), VertexId{0});
-            std::shuffle(l2p.begin(), l2p.end(), rng);
-            for (std::size_t r = 0; r < num_replicas; ++r) {
-                replicas[r].live.apply_renumber(l2p);
-            }
         }
         SCOPED_TRACE("epoch " + std::to_string(epoch));
         EpochId e = 0;
@@ -774,36 +763,6 @@ TEST(RealTimeEnginePipeline, DepthOneFlushComputesDeferredTailOnLiveStore)
 {
     depth_one_deferred_tail_flushes_on_live_store<graph::AdjacencyList>();
     depth_one_deferred_tail_flushes_on_live_store<graph::HybridStore>();
-}
-
-template <typename Live>
-void
-depth_one_round_after_renumber_reads_logical_rows()
-{
-    auto cfg = pipeline_config(core::UpdatePolicy::kBaseline, 1);
-    cfg.oca.enabled = false;
-    // Fire on every window past warm-up and cooldown, so renumbers land
-    // between rounds and later rounds read re-placed rows.
-    cfg.renumber.enabled = true;
-    cfg.renumber.threshold = 2.0;
-    cfg.renumber.refire_factor = 4.0;
-    cfg.renumber.warmup_windows = 2;
-    cfg.renumber.cooldown_windows = 2;
-    DepthOneRun<Live> run(cfg);
-    for (std::uint64_t k = 1; k <= 6; ++k) {
-        (void)run.engine.ingest(pipeline_batch(k, 800, 150 + k));
-    }
-    run.engine.flush_pipeline();
-    EXPECT_GE(run.engine.renumber_stats().renumbers, 1u);
-    EXPECT_TRUE(run.engine.graph().id_map().enabled());
-    EXPECT_EQ(run.rounds.size(), 6u);
-    run.expect_exact();
-}
-
-TEST(RealTimeEnginePipeline, DepthOneRoundAfterRenumberReadsLogicalRows)
-{
-    depth_one_round_after_renumber_reads_logical_rows<graph::AdjacencyList>();
-    depth_one_round_after_renumber_reads_logical_rows<graph::HybridStore>();
 }
 
 // ------------------------------------------------- depth-2 equivalence

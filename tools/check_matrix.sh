@@ -24,12 +24,9 @@
 #         DESIGN.md §5) repeated until-fail; shares the tsan build tree
 #   asan-seeds  the CI seed sweep (IGS_TEST_SEED 1..64) of the seeded
 #         harnesses — incremental equivalence, the pending hand-off,
-#         the snapshot harnesses and the USC one-edge runs — under
-#         ASan+UBSan; shares the asan build tree
-#   tsan-renumber  focused TSan deep-run of the vertex-id indirection /
-#         locality-renumbering suite (renumber at the ingest tail vs the
-#         depth>=2 compute stage reading published snapshots, DESIGN.md
-#         §16) repeated until-fail; shares the tsan build tree
+#         the snapshot harnesses, the USC one-edge runs and the
+#         HybridStore tier census — under ASan+UBSan; shares the asan
+#         build tree
 #   tsa   clang -Wthread-safety as errors (-DIGS_THREAD_SAFETY=ON);
 #         compile-only analysis, then the plain test suite.
 #         Skipped (with a notice) when no clang++ is on PATH — the
@@ -43,7 +40,7 @@
 #
 # Usage:  tools/check_matrix.sh [leg ...]
 #         (default: analyze asan asan-hybrid asan-seeds tsan tsan-pipeline
-#          tsan-hybrid tsan-incremental tsan-kernels tsan-renumber tsa)
+#          tsan-hybrid tsan-incremental tsan-kernels tsa)
 #
 # Each leg builds in its own tree (build-check-<leg>) with
 # CMAKE_BUILD_TYPE=Debug so IGS_DCHECK and the Spinlock owner assertions
@@ -56,7 +53,7 @@ JOBS="${JOBS:-$(nproc 2>/dev/null || echo 4)}"
 LEGS=("$@")
 if [ ${#LEGS[@]} -eq 0 ]; then
     LEGS=(analyze asan asan-hybrid asan-seeds tsan tsan-pipeline
-          tsan-hybrid tsan-incremental tsan-kernels tsan-renumber tsa)
+          tsan-hybrid tsan-incremental tsan-kernels tsa)
 fi
 
 # TSan suppressions: intentionally empty unless a race is provably benign
@@ -145,11 +142,11 @@ for leg in "${LEGS[@]}"; do
         # exception handed from the compute thread to the next join;
         # and the depth-1 path, whose rounds read the live rows the
         # update's pool workers wrote before their join:
-        # DepthOneRoundReadsLiveStore and its deferred-tail and renumber
-        # cases) and the SnapshotStore tests (pooled publication: pool
-        # workers refreshing disjoint dirty vertices' rows and change
-        # marks) several times to widen schedule coverage.  Reuses the
-        # tsan tree, so running after `tsan` costs no extra build.
+        # DepthOneRoundReadsLiveStore and its deferred-tail case) and the
+        # SnapshotStore tests (pooled publication: pool workers refreshing
+        # disjoint dirty vertices' rows and change marks) several times
+        # to widen schedule coverage.  Reuses the tsan tree, so running
+        # after `tsan` costs no extra build.
         IGS_CHECK_BDIR="$ROOT/build-check-tsan"
         CTEST_EXTRA=(-R 'Pipeline|Epochs|SnapshotStore' --repeat until-fail:5)
         run_leg tsan-pipeline -DIGS_SANITIZE=thread
@@ -198,7 +195,7 @@ for leg in "${LEGS[@]}"; do
         # IGS_TEST_SEED 1..64 (a failure names its seed), here under
         # ASan+UBSan.  Reuses the asan tree.
         IGS_CHECK_BDIR="$ROOT/build-check-asan"
-        CTEST_EXTRA=(-R '^(IncrementalEquivalence|PendingAccumulator|SnapshotStore|UscOneEdgeRun)\.')
+        CTEST_EXTRA=(-R '^(IncrementalEquivalence|PendingAccumulator|SnapshotStore|UscOneEdgeRun)\.|^HybridStore\.CensusCountsMatchScan$')
         SEED_SWEEP=64
         run_leg asan-seeds -DIGS_SANITIZE=address,undefined
         unset IGS_CHECK_BDIR CTEST_EXTRA SEED_SWEEP
@@ -215,17 +212,6 @@ for leg in "${LEGS[@]}"; do
         run_leg tsan-kernels -DIGS_SANITIZE=thread
         unset IGS_CHECK_BDIR CTEST_EXTRA
         ;;
-      tsan-renumber)
-        # Focused TSan deep-run of the renumber suite: the engine applies
-        # a renumber (live-row move-permute + map rebind) at the ingest
-        # tail while the depth>=2 compute stage reads published snapshot
-        # copies, so these schedules are the racy-by-construction ones.
-        # Reuses the tsan tree.
-        IGS_CHECK_BDIR="$ROOT/build-check-tsan"
-        CTEST_EXTRA=(-R 'Renumber' --repeat until-fail:3)
-        run_leg tsan-renumber -DIGS_SANITIZE=thread
-        unset IGS_CHECK_BDIR CTEST_EXTRA
-        ;;
       tsa)
         if command -v clang++ >/dev/null 2>&1; then
             CC=clang CXX=clang++ run_leg tsa -DIGS_THREAD_SAFETY=ON \
@@ -239,7 +225,7 @@ for leg in "${LEGS[@]}"; do
       *)
         echo "unknown leg: $leg (known: analyze asan asan-hybrid" \
              "asan-seeds tsan tsan-pipeline tsan-hybrid tsan-incremental" \
-             "tsan-kernels tsan-renumber tsa)" >&2
+             "tsan-kernels tsa)" >&2
         FAILED+=("$leg (unknown)")
         ;;
     esac
