@@ -28,7 +28,6 @@
 #include "common/timer.h"
 #include "core/engine.h"
 #include "gen/datasets.h"
-#include "graph/dirty_set_view.h"
 #include "graph/hybrid_store.h"
 #include "graph/store_tuning.h"
 #include "sim/sim_engine.h"
@@ -159,11 +158,10 @@ class IncrementalCompute {
     {
         analytics::ComputeMeter meter;
         meter.round();
-        const graph::DirtySetView<Graph> view(g, work.affected);
         if (algo_ == Algo::kPageRank) {
-            pagerank_.delta_propagate(view, &meter);
+            pagerank_.delta_propagate(g, work.affected, &meter);
         } else if (algo_ == Algo::kSssp) {
-            sssp_.delta_update(view, work.inserted, work.deleted, &meter);
+            sssp_.delta_update(g, work.inserted, work.deleted, &meter);
         }
         return meter.stats();
     }

@@ -19,7 +19,6 @@
 #include "analytics/incremental/sssp.h"
 #include "core/engine.h"
 #include "gen/edge_stream.h"
-#include "graph/dirty_set_view.h"
 
 int
 main(int argc, char** argv)
@@ -65,9 +64,7 @@ main(int argc, char** argv)
         engine.ingest(batch);
 
         const core::PendingWork work = engine.take_pending_work();
-        proximity.delta_update(
-            graph::DirtySetView(engine.graph(), work.affected), work.inserted,
-            work.deleted);
+        proximity.delta_update(engine.graph(), work.inserted, work.deleted);
 
         // Alert newly-close accounts.  Every account, not just the
         // batch's endpoints: an insertion also lowers distances

@@ -5,15 +5,14 @@
  * One object owns the three epoch-persistent kernels (PageRank, Sssp,
  * Bfs) and, per epoch, makes the input-aware full-vs-delta call from
  * the hand-off's batch statistics (stream/compute_policy.h): delta
- * rounds seed from the dirty set through a graph::DirtySetView, full
+ * rounds seed from the hand-off's dirty set and edge deltas, full
  * reruns refresh the memo state from scratch.  The first epoch always
  * runs full (delta propagation needs a converged baseline to correct).
  *
  * Works against any graph read path: a live store in a drain loop, the
  * engine's SnapshotView in pipeline mode (wire it up with @ref attach,
  * which registers the bundle via BasicRealTimeEngine::set_compute), or
- * the simulator's AdjacencyList (bench_incremental); a delta round
- * wraps whichever it is in a graph::DirtySetView.
+ * the simulator's AdjacencyList (bench_incremental).
  *
  * Telemetry (core.analytics.incr_*) is registered lazily on the first
  * epoch so non-incremental runs keep their registry snapshot — and
@@ -32,7 +31,6 @@
 #include "analytics/pagerank.h"
 #include "common/telemetry.h"
 #include "common/types.h"
-#include "graph/dirty_set_view.h"
 #include "graph/graph_store.h"
 #include "graph/snapshot_view.h"
 #include "stream/compute_policy.h"
@@ -96,7 +94,7 @@ class IncrementalAnalytics {
         d.delta = warm_ && stream::use_delta(config_.policy, d.stats);
         const ComputeStats before = meter_.stats();
         if (d.delta) {
-            run_delta(graph::DirtySetView<Graph>(g, work.affected), work);
+            run_delta(g, work);
         } else {
             run_full(g, work.epoch);
         }
@@ -129,20 +127,19 @@ class IncrementalAnalytics {
 
     template <typename Graph>
     void
-    run_delta(const graph::DirtySetView<Graph>& view,
-              const stream::PendingWork& work)
+    run_delta(const Graph& g, const stream::PendingWork& work)
     {
         if (config_.run_pagerank) {
             meter_.round_on(work.epoch);
-            pagerank_.delta_propagate(view, &meter_);
+            pagerank_.delta_propagate(g, work.affected, &meter_);
         }
         if (config_.run_sssp) {
             meter_.round_on(work.epoch);
-            sssp_.delta_update(view, work.inserted, work.deleted, &meter_);
+            sssp_.delta_update(g, work.inserted, work.deleted, &meter_);
         }
         if (config_.run_bfs) {
             meter_.round_on(work.epoch);
-            bfs_.delta_update(view, work.inserted, work.deleted, &meter_);
+            bfs_.delta_update(g, work.inserted, work.deleted, &meter_);
         }
     }
 

@@ -25,7 +25,6 @@
 #include "analytics/compute_meter.h"
 #include "analytics/incremental/state.h"
 #include "common/types.h"
-#include "graph/dirty_set_view.h"
 #include "graph/graph_store.h"
 
 namespace igs::analytics::incremental {
@@ -58,13 +57,13 @@ class Bfs {
      * full_rerun when cold.
      */
     template <typename Graph>
+        requires graph::GraphReadPath<Graph>
     ComputeStats
-    delta_update(const graph::DirtySetView<Graph>& view,
-                 std::span<const StreamEdge> inserted,
+    delta_update(const Graph& g, std::span<const StreamEdge> inserted,
                  std::span<const StreamEdge> deleted,
                  ComputeMeter* external_meter = nullptr)
     {
-        return state_.delta_update(view, source_, inserted, deleted,
+        return state_.delta_update(g, source_, inserted, deleted,
                                    external_meter);
     }
 

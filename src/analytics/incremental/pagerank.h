@@ -25,13 +25,13 @@
 
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "analytics/compute_meter.h"
 #include "analytics/incremental/state.h"
 #include "analytics/pagerank.h"
 #include "common/types.h"
-#include "graph/dirty_set_view.h"
 #include "graph/graph_store.h"
 
 namespace igs::analytics::incremental {
@@ -103,19 +103,21 @@ class PageRank {
     }
 
     /**
-     * One delta round: seed the frontier with the epoch's dirty set plus
-     * its out-neighborhood, then pull-recompute ranks outward until every
-     * residual falls below the per-vertex tolerance.  Falls back to
-     * full_rerun when cold or when the vertex space changed.
+     * One delta round: seed the frontier with the epoch's dirty set
+     * `dirty` (PendingWork::affected) plus its out-neighborhood, then
+     * pull-recompute ranks outward until every residual falls below the
+     * per-vertex tolerance.  Falls back to full_rerun when cold or when
+     * the vertex space changed.
      */
     template <typename Graph>
+        requires graph::GraphReadPath<Graph>
     ComputeStats
-    delta_propagate(const graph::DirtySetView<Graph>& view,
+    delta_propagate(const Graph& g, std::span<const VertexId> dirty,
                     ComputeMeter* external_meter = nullptr)
     {
-        const std::size_t n = view.num_vertices();
+        const std::size_t n = g.num_vertices();
         if (!state_.warm || state_.rank.size() != n) {
-            return full_rerun(view, external_meter);
+            return full_rerun(g, external_meter);
         }
         ComputeMeter local;
         ComputeMeter* meter =
@@ -127,15 +129,15 @@ class PageRank {
         const double base = (1.0 - params_.damping) / static_cast<double>(n);
 
         std::vector<VertexId> frontier;
-        frontier.reserve(view.dirty().size());
-        for (VertexId v : view.dirty()) {
+        frontier.reserve(dirty.size());
+        for (VertexId v : dirty) {
             if (v >= n) {
                 continue;
             }
             state_.in_frontier.push_unique(v, frontier);
             // The dirty vertex's out-degree may have changed: every
             // out-neighbor's pull input did too (the seeding gap).
-            for (const Neighbor& w : view.edges(v, Direction::kOut)) {
+            for (const Neighbor& w : g.edges(v, Direction::kOut)) {
                 meter->traverse();
                 state_.in_frontier.push_unique(w.id, frontier);
             }
@@ -152,9 +154,9 @@ class PageRank {
             for (VertexId v : frontier) {
                 meter->activate();
                 double sum = 0.0;
-                for (const Neighbor& u : view.edges(v, Direction::kIn)) {
+                for (const Neighbor& u : g.edges(v, Direction::kIn)) {
                     meter->traverse();
-                    const auto deg = view.degree(u.id, Direction::kOut);
+                    const auto deg = g.degree(u.id, Direction::kOut);
                     if (deg > 0) {
                         sum += state_.rank[u.id] / static_cast<double>(deg);
                     }
@@ -164,7 +166,7 @@ class PageRank {
                     std::abs(new_rank - state_.rank[v]) > params_.tolerance;
                 state_.rank[v] = new_rank;
                 if (changed) {
-                    for (const Neighbor& w : view.edges(v, Direction::kOut)) {
+                    for (const Neighbor& w : g.edges(v, Direction::kOut)) {
                         meter->traverse();
                         state_.in_frontier.push_unique(w.id, next_frontier);
                     }

@@ -24,7 +24,6 @@
 #include "analytics/compute_meter.h"
 #include "analytics/incremental/state.h"
 #include "common/types.h"
-#include "graph/dirty_set_view.h"
 #include "graph/graph_store.h"
 
 namespace igs::analytics::incremental {
@@ -51,18 +50,17 @@ class Sssp {
 
     /**
      * One delta round over the epoch's modifications.  `inserted` /
-     * `deleted` are the epoch's edge deltas (PendingWork); the view's
-     * dirty set is their vertex projection.  Falls back to full_rerun
-     * when cold.
+     * `deleted` are the epoch's edge deltas (PendingWork).  Falls back
+     * to full_rerun when cold.
      */
     template <typename Graph>
+        requires graph::GraphReadPath<Graph>
     ComputeStats
-    delta_update(const graph::DirtySetView<Graph>& view,
-                 std::span<const StreamEdge> inserted,
+    delta_update(const Graph& g, std::span<const StreamEdge> inserted,
                  std::span<const StreamEdge> deleted,
                  ComputeMeter* external_meter = nullptr)
     {
-        return state_.delta_update(view, source_, inserted, deleted,
+        return state_.delta_update(g, source_, inserted, deleted,
                                    external_meter);
     }
 

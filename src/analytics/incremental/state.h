@@ -24,7 +24,6 @@
 #include "analytics/compute_meter.h"
 #include "common/check.h"
 #include "common/types.h"
-#include "graph/dirty_set_view.h"
 #include "graph/graph_store.h"
 
 namespace igs::analytics::incremental {
@@ -163,25 +162,25 @@ class PathState {
     }
 
     /**
-     * One delta round over the epoch's edge deltas (PendingWork; the
-     * view's dirty set is their vertex projection).  Falls back to
-     * full_rerun when cold.
+     * One delta round over the epoch's edge deltas (PendingWork).  Falls
+     * back to full_rerun when cold.
      */
     template <typename Graph>
+        requires graph::GraphReadPath<Graph>
     ComputeStats
-    delta_update(const graph::DirtySetView<Graph>& view, VertexId source,
+    delta_update(const Graph& g, VertexId source,
                  std::span<const StreamEdge> inserted,
                  std::span<const StreamEdge> deleted,
                  ComputeMeter* external_meter)
     {
         if (!warm_) {
-            return full_rerun(view, source, external_meter);
+            return full_rerun(g, source, external_meter);
         }
         ComputeMeter local;
         ComputeMeter* meter =
             external_meter != nullptr ? external_meter : &local;
         const ComputeStats before = meter->stats();
-        const std::size_t n = view.num_vertices();
+        const std::size_t n = g.num_vertices();
         ensure(n);
         if (n == 0) {
             return stats_delta(meter->stats(), before);
@@ -213,7 +212,7 @@ class PathState {
             stack.pop_back();
             region.push_back(v);
             meter->activate();
-            for (const Neighbor& e : view.edges(v, Direction::kOut)) {
+            for (const Neighbor& e : g.edges(v, Direction::kOut)) {
                 meter->traverse();
                 if (parent_[e.id] == v) {
                     dirty_.push_unique(e.id, stack);
@@ -227,7 +226,7 @@ class PathState {
             parent_[v] = kInvalidVertex;
         }
         for (VertexId v : region) {
-            for (const Neighbor& e : view.edges(v, Direction::kIn)) {
+            for (const Neighbor& e : g.edges(v, Direction::kIn)) {
                 meter->traverse();
                 if (!dirty_.test(e.id) && value_[e.id] != kUnreached) {
                     push(e.id);
@@ -255,7 +254,7 @@ class PathState {
         }
 
         meter->seed(frontier.size());
-        relax_to_fixpoint(view, frontier, meter);
+        relax_to_fixpoint(g, frontier, meter);
         return stats_delta(meter->stats(), before);
     }
 

@@ -1,6 +1,15 @@
 #include "core/abr.h"
 
+#include <stdexcept>
+
 namespace igs::core {
+
+AbrController::AbrController(const AbrParams& params) : params_(params)
+{
+    if (params_.n == 0) {
+        throw std::invalid_argument("AbrParams::n must be at least 1");
+    }
+}
 
 AbrDecision
 AbrController::decide(std::span<const StreamEdge> edges,

@@ -24,7 +24,7 @@ namespace igs::core {
 
 /** ABR design parameters (paper defaults: n=10, λ=256, TH=465). */
 struct AbrParams {
-    /** Instrumentation period: one active batch per n batches. */
+    /** Instrumentation period: one active batch per n batches (n >= 1). */
     std::uint32_t n = 10;
     /** Degree cutoff distinguishing a batch's top-degree vertices. */
     std::uint32_t lambda = 256;
@@ -56,7 +56,8 @@ struct AbrDecision {
 /** Online ABR controller. */
 class AbrController {
   public:
-    explicit AbrController(const AbrParams& params = {}) : params_(params) {}
+    /** Throws std::invalid_argument if `params.n` is 0. */
+    explicit AbrController(const AbrParams& params = {});
 
     const AbrParams& params() const { return params_; }
 

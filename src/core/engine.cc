@@ -93,32 +93,6 @@ struct EngineTelemetry {
     }
 };
 
-/** Pipeline telemetry (DESIGN.md §11), resolved on first publication.
- *  Lazy on purpose: engines that never enter pipeline mode must not add
- *  these metrics to the registry snapshot, or every pre-pipeline golden
- *  run would grow "only in candidate" keys. */
-struct PipelineTelemetry {
-    telemetry::Counter& epochs;
-    telemetry::Counter& dirty_vertices;
-    telemetry::Counter& copied_edges;
-    telemetry::Counter& stalls;
-    telemetry::PhaseTimer& stall_wall;
-
-    static PipelineTelemetry&
-    get()
-    {
-        auto& r = telemetry::Registry::global();
-        static PipelineTelemetry t{
-            r.counter("core.pipeline.epochs_published"),
-            r.counter("core.pipeline.dirty_vertices_copied"),
-            r.counter("core.pipeline.edges_copied"),
-            r.counter("core.pipeline.backpressure_stalls"),
-            r.phase("core.pipeline.stall_wall"),
-        };
-        return t;
-    }
-};
-
 } // namespace
 
 const char*
@@ -239,12 +213,8 @@ BasicRealTimeEngine<GraphT>::join_inflight()
     Timer timer;
     inflight_.join();
     if (stalled) {
-        const double waited = timer.seconds();
         pipeline_stats_.backpressure_stalls += 1;
-        pipeline_stats_.stall_seconds += waited;
-        auto& t = PipelineTelemetry::get();
-        t.stalls.inc();
-        t.stall_wall.add(waited);
+        pipeline_stats_.stall_seconds += timer.seconds();
     }
     if (inflight_error_) {
         std::rethrow_exception(std::exchange(inflight_error_, nullptr));
@@ -272,10 +242,6 @@ BasicRealTimeEngine<GraphT>::publish_epoch()
     pipeline_stats_.epochs_published += 1;
     pipeline_stats_.dirty_vertices_copied += ps.dirty_vertices;
     pipeline_stats_.edges_copied += ps.copied_edges;
-    auto& t = PipelineTelemetry::get();
-    t.epochs.inc();
-    t.dirty_vertices.inc(ps.dirty_vertices);
-    t.copied_edges.inc(ps.copied_edges);
     // Tiered backends refresh their per-tier population gauges once per
     // epoch.
     if constexpr (requires { graph_.publish_tier_telemetry(); }) {

@@ -97,10 +97,7 @@ drive_batch(DecisionCore& core, const stream::EdgeBatch& batch, bool reorder,
     } else {
         // Input-oblivious policies still sample locality on every n-th
         // batch so OCA stays available for the compute phase.
-        report.abr_active =
-            core.abr().params().n == 0
-                ? false
-                : ((batch.id - 1) % core.abr().params().n) == 0;
+        report.abr_active = (batch.id - 1) % core.abr().params().n == 0;
     }
 
     // 3. Update execution mode for this batch.

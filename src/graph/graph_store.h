@@ -19,7 +19,8 @@
  * Implementations: the live stores over graph::LiveStore (AdjacencyList,
  * HybridStore, DegreeAwareHash; mutable) and graph::SnapshotView
  * (immutable, copy-on-publish) — checked by static_asserts in their
- * headers' tests.
+ * headers' tests.  All of them return `edges()` as a
+ * std::span<const Neighbor>; the concept asks only for a range.
  */
 #ifndef IGS_GRAPH_GRAPH_STORE_H
 #define IGS_GRAPH_GRAPH_STORE_H

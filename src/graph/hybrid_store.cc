@@ -1,7 +1,6 @@
 #include "graph/hybrid_store.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "common/telemetry.h"
@@ -13,7 +12,7 @@ namespace {
 /** core.graph.tier_* telemetry, resolved on first HybridStore use.  Lazy
  *  on purpose: runs that never construct a HybridStore must not add these
  *  metrics to the registry snapshot, or every existing golden run would
- *  grow "only in candidate" keys (same pattern as PipelineTelemetry). */
+ *  grow "only in candidate" keys. */
 struct HybridTelemetry {
     telemetry::Counter& promotions_to_sorted;
     telemetry::Counter& promotions_to_hash;
@@ -50,7 +49,10 @@ ApplyResult
 HybridEdgeSet::insert(Neighbor nbr, std::uint32_t sorted_threshold)
 {
     if (tier_ == kHashed) {
-        return hash_insert(nbr);
+        // igs-lint: allow(hot-path-alloc) -- the index's dense append
+        const ApplyResult r = index_.insert(heap_, nbr);
+        count_ += r.found ? 0 : 1;
+        return r;
     }
 
     ApplyResult r;
@@ -106,43 +108,9 @@ HybridEdgeSet::insert(Neighbor nbr, std::uint32_t sorted_threshold)
     r.written_at = std::min(r.written_at, lo);
     ++count_;
     if (count_ >= sorted_threshold) {
-        promote_to_hash();
+        index_.build(heap_);
+        tier_ = kHashed;
     }
-    return r;
-}
-
-ApplyResult
-HybridEdgeSet::hash_insert(Neighbor nbr)
-{
-    ApplyResult r;
-    r.len_before = count_;
-    if ((count_ + 1) * 4 >= index_.size() * 3) {
-        grow_index();
-    }
-    const std::size_t mask = index_.size() - 1;
-    std::size_t i = hash_id(nbr.id) & mask;
-    while (index_[i] != 0) {
-        ++r.probes;
-        Neighbor& n = heap_[index_[i] - 1];
-        if (n.id == nbr.id) {
-            n.weight += nbr.weight;
-            r.found = true;
-            r.written_at = index_[i] - 1;
-            return r;
-        }
-        i = (i + 1) & mask;
-    }
-    ++r.probes;
-    reserve_row(heap_, count_ + 1);
-    // igs-lint: allow(hot-path-alloc) -- within the reserve_row capacity
-    heap_.push_back(nbr);
-    // The hash index stores 1-based uint32 slots into the dense array;
-    // a per-vertex edge set past 2^32-1 entries would silently alias.
-    IGS_DCHECK(heap_.size() <=
-               std::numeric_limits<std::uint32_t>::max());
-    index_[i] = static_cast<std::uint32_t>(heap_.size());
-    r.written_at = count_;
-    ++count_;
     return r;
 }
 
@@ -166,21 +134,16 @@ HybridEdgeSet::position_of(VertexId id) const
                    ? static_cast<std::uint32_t>(it - heap_.begin())
                    : count_;
     }
-    const std::size_t mask = index_.size() - 1;
-    for (std::size_t i = hash_id(id) & mask; index_[i] != 0;
-         i = (i + 1) & mask) {
-        if (heap_[index_[i] - 1].id == id) {
-            return index_[i] - 1;
-        }
-    }
-    return count_;
+    return index_.find(heap_, id);
 }
 
 ApplyResult
 HybridEdgeSet::remove(VertexId nbr_id)
 {
     if (tier_ == kHashed) {
-        return hash_remove(nbr_id);
+        const ApplyResult r = index_.remove(heap_, nbr_id);
+        count_ -= r.found ? 1 : 0;
+        return r;
     }
 
     ApplyResult r;
@@ -225,54 +188,6 @@ HybridEdgeSet::remove(VertexId nbr_id)
     return r;
 }
 
-ApplyResult
-HybridEdgeSet::hash_remove(VertexId nbr_id)
-{
-    ApplyResult r;
-    r.len_before = count_;
-    const std::size_t mask = index_.size() - 1;
-    std::size_t i = hash_id(nbr_id) & mask;
-    while (index_[i] != 0) {
-        ++r.probes;
-        const std::uint32_t pos = index_[i] - 1;
-        if (heap_[pos].id == nbr_id) {
-            r.found = true;
-            // 1. Backshift-delete the index slot (keeps probe sequences
-            //    valid without tombstones; same idiom as DahEdgeSet).
-            std::size_t hole = i;
-            std::size_t j = (i + 1) & mask;
-            while (index_[j] != 0) {
-                const std::size_t home =
-                    hash_id(heap_[index_[j] - 1].id) & mask;
-                if (((j - home) & mask) >= ((j - hole) & mask)) {
-                    index_[hole] = index_[j];
-                    hole = j;
-                }
-                j = (j + 1) & mask;
-            }
-            index_[hole] = 0;
-            // 2. Swap-with-last in the dense array, repointing the moved
-            //    element's index slot at its new position.
-            const std::uint32_t last = count_ - 1;
-            if (pos != last) {
-                heap_[pos] = heap_[last];
-                std::size_t k = hash_id(heap_[pos].id) & mask;
-                while (index_[k] != last + 1) {
-                    IGS_DCHECK(index_[k] != 0);
-                    k = (k + 1) & mask;
-                }
-                index_[k] = pos + 1;
-            }
-            heap_.pop_back();
-            --count_;
-            r.written_at = pos;
-            return r;
-        }
-        i = (i + 1) & mask;
-    }
-    return r;
-}
-
 void
 HybridEdgeSet::promote_to_sorted()
 {
@@ -280,41 +195,6 @@ HybridEdgeSet::promote_to_sorted()
     std::sort(heap_.begin(), heap_.end(),
               [](const Neighbor& a, const Neighbor& b) { return a.id < b.id; });
     tier_ = kSorted;
-}
-
-void
-HybridEdgeSet::promote_to_hash()
-{
-    std::size_t cap = 16;
-    while (cap * 3 < static_cast<std::size_t>(count_) * 4 * 2) {
-        cap <<= 1;
-    }
-    index_.assign(cap, 0);
-    const std::size_t mask = cap - 1;
-    for (std::uint32_t p = 0; p < count_; ++p) {
-        std::size_t i = hash_id(heap_[p].id) & mask;
-        while (index_[i] != 0) {
-            i = (i + 1) & mask;
-        }
-        index_[i] = p + 1;
-    }
-    tier_ = kHashed;
-}
-
-void
-HybridEdgeSet::grow_index()
-{
-    // Positions are derivable from the dense array, so growth is a
-    // rebuild rather than a rehash of the old slots.
-    index_.assign(index_.size() * 2, 0);
-    const std::size_t mask = index_.size() - 1;
-    for (std::uint32_t p = 0; p < count_; ++p) {
-        std::size_t i = hash_id(heap_[p].id) & mask;
-        while (index_[i] != 0) {
-            i = (i + 1) & mask;
-        }
-        index_[i] = p + 1;
-    }
 }
 
 // ------------------------------------------------------------------- store

@@ -14,8 +14,9 @@
  *    are an O(log degree) binary search;
  *  - tier 2 (hashed): edges stay in a dense append-order array (so
  *    iteration remains a contiguous scan) plus an open-addressed hash
- *    index mapping neighbor id -> array position; duplicate checks are
- *    O(1) expected.
+ *    index mapping neighbor id -> array position (graph/edge_index.h,
+ *    the index DegreeAwareHash's high-degree rows use too); duplicate
+ *    checks are O(1) expected.
  *
  * Promotion is one-way on degree growth (tier 0 -> 1 at the inline
  * capacity, tier 1 -> 2 at StoreTuning::hybrid_sorted_threshold).
@@ -27,15 +28,15 @@
  * delete-of-missing is a no-op), so the two stores are equivalent under
  * any update schedule — property-tested in tests/test_hybrid_store.cc.
  *
- * All three tiers expose the edge set as one contiguous
- * std::span<const Neighbor>, so the store satisfies graph::GraphStore and
- * plugs into SnapshotStore publication and every analytics read path
- * unchanged.  The vertex table around the edge sets — locks, bids, epoch,
- * change marks — is the one every store shares
- * (graph/live_store.h), and the heap arrays grow by the shared rule of
- * graph/edge_rows.h.  Telemetry: core.graph.tier_* (registered lazily on
- * first use so runs that never construct a HybridStore keep their golden
- * registry snapshots unchanged).
+ * All three tiers keep the edge set contiguous, so the store's edges()
+ * is a std::span<const Neighbor> like every store's, and it plugs into
+ * SnapshotStore publication and every analytics read path unchanged.
+ * The vertex table around the edge sets — locks, bids, epoch, change
+ * marks — is the one every store shares (graph/live_store.h), and the
+ * heap arrays grow by the shared rule of graph/edge_rows.h.  Telemetry:
+ * core.graph.tier_* (registered lazily on first use so runs that never
+ * construct a HybridStore keep their golden registry snapshots
+ * unchanged).
  */
 #ifndef IGS_GRAPH_HYBRID_STORE_H
 #define IGS_GRAPH_HYBRID_STORE_H
@@ -47,6 +48,7 @@
 
 #include "common/flat_table.h"
 #include "common/types.h"
+#include "graph/edge_index.h"
 #include "graph/graph_store.h"
 #include "graph/live_store.h"
 #include "graph/store_tuning.h"
@@ -86,54 +88,35 @@ class HybridEdgeSet {
      *  tier 1 and the swap-filled hole at tier 2. */
     ApplyResult remove(VertexId nbr_id);
 
-    /** Position of `id` in view(), or size() if absent, by the tier's
+    /** Position of `id` in the set, or size() if absent, by the tier's
      *  own lookup (inline scan, binary search, hash probe).  Writes
      *  nothing: no index growth, no promotion. */
     std::uint32_t position_of(VertexId id) const;
 
-    /** Contiguous view of the stored edges (any tier). */
-    std::span<const Neighbor>
-    view() const
+    /** The stored edges, contiguous at every tier (the read path's
+     *  span). */
+    const Neighbor*
+    begin() const
     {
-        return tier_ == kInline
-                   ? std::span<const Neighbor>(inline_, count_)
-                   : std::span<const Neighbor>(heap_.data(), count_);
+        return tier_ == kInline ? inline_ : heap_.data();
     }
+    const Neighbor* end() const { return begin() + count_; }
 
     /** Mutable view (USC coalesced scan; caller owns synchronization). */
     std::span<Neighbor>
     view_mut()
     {
-        return tier_ == kInline
-                   ? std::span<Neighbor>(inline_, count_)
-                   : std::span<Neighbor>(heap_.data(), count_);
+        return {tier_ == kInline ? inline_ : heap_.data(), count_};
     }
 
   private:
     void promote_to_sorted();
-    void promote_to_hash();
-    /** Double the hash index and rebuild it from the dense array. */
-    void grow_index();
-    ApplyResult hash_insert(Neighbor nbr);
-    ApplyResult hash_remove(VertexId nbr_id);
-
-    static std::uint64_t
-    hash_id(VertexId id)
-    {
-        std::uint64_t x = id;
-        x ^= x >> 16;
-        x *= 0x7feb352dull;
-        x ^= x >> 15;
-        x *= 0x846ca68bull;
-        x ^= x >> 16;
-        return x;
-    }
 
     Neighbor inline_[kInlineCapacity] = {};
     /** Tier 1: sorted by id.  Tier 2: dense, append order. */
     std::vector<Neighbor> heap_;
-    /** Tier 2 only: open-addressed slots holding position+1 (0 = empty). */
-    std::vector<std::uint32_t> index_;
+    /** Tier 2 only: the neighbor-id index over heap_. */
+    EdgeIndex index_;
     std::uint32_t count_ = 0;
     std::uint8_t tier_ = kInline;
 };

@@ -5,7 +5,8 @@
  * AdjacencyList, HybridStore and DegreeAwareHash differ only in the
  * container that holds one vertex's edges in one direction: a plain
  * `std::vector<Neighbor>` scanned linearly, GraphTango's three-tier
- * @ref HybridEdgeSet, or SAGA-Bench's array-or-hash @ref DahEdgeSet.
+ * @ref HybridEdgeSet, or SAGA-Bench's degree-aware @ref DahEdgeSet (the
+ * two adaptive sets index a high-degree row with one graph::EdgeIndex).
  * Everything around that container lives here once, as GraphTango splits
  * a store into one vertex table and a degree-adaptive edge set per vertex:
  *  - the out/in rows, indexed by vertex id;
@@ -20,9 +21,11 @@
  * A store derives from `LiveStore<ItsEdgeSet>` and adds its mutators
  * (apply_insert / apply_remove, and apply_coalesced where it has one),
  * which write rows, change marks and the edge count through the
- * protected members.  An edge set must be default-constructible and
- * nothrow-movable and have `size()`; its read-path view is the row
- * itself for a plain array, else its `view()`.
+ * protected members.  An edge set must be default-constructible,
+ * nothrow-movable and a contiguous range of Neighbor with `size()`, so
+ * every store's read path is a `std::span<const Neighbor>` over the
+ * row's own storage (the plain array, HybridEdgeSet's inline record or
+ * heap array, DahEdgeSet's dense array).
  *
  * Engine-wide update semantics (shared by every store so the update paths
  * can be cross-checked for equivalence):
@@ -40,6 +43,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -63,21 +67,6 @@ struct ApplyResult {
      *  The store lowers the row's change mark with it. */
     std::uint32_t written_at = kRowUnchanged;
 };
-
-/** Read-path view of a plain-array row: the row itself. */
-inline const std::vector<Neighbor>&
-row_view(const std::vector<Neighbor>& row)
-{
-    return row;
-}
-
-/** Read-path view of an adaptive edge set. */
-template <typename EdgeSet>
-auto
-row_view(const EdgeSet& set)
-{
-    return set.view();
-}
 
 /** Dynamic directed graph: one `EdgeSet` per vertex and direction. */
 template <typename EdgeSet>
@@ -115,10 +104,10 @@ class LiveStore {
 
     /** Immutable view of `v`'s `dir` edges (graph::GraphReadPath).
      *  Invalidated by any mutation of that row. */
-    decltype(auto)
+    std::span<const Neighbor>
     edges(VertexId v, Direction dir) const
     {
-        return row_view(edge_set(v, dir));
+        return edge_set(v, dir);
     }
 
     /** `v`'s `dir` edge set. */
@@ -263,8 +252,8 @@ template <typename EdgeSet>
 std::vector<Neighbor>
 LiveStore<EdgeSet>::sorted_edges(VertexId v, Direction dir) const
 {
-    const auto& view = edges(v, dir);
-    std::vector<Neighbor> copy(view.begin(), view.end());
+    const std::span<const Neighbor> row = edges(v, dir);
+    std::vector<Neighbor> copy(row.begin(), row.end());
     std::sort(copy.begin(), copy.end(),
               [](const Neighbor& a, const Neighbor& b) { return a.id < b.id; });
     return copy;

@@ -40,11 +40,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <concepts>
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -91,11 +89,7 @@ class SnapshotView {
      * the store's next mutation.  The counters are read now.
      */
     template <typename Live>
-        requires GraphStore<Live> &&
-                 std::convertible_to<decltype(std::declval<const Live&>()
-                                                  .edges(VertexId{},
-                                                         Direction::kOut)),
-                                     std::span<const Neighbor>>
+        requires GraphStore<Live>
     static SnapshotView
     over_live(const Live& live)
     {
@@ -302,9 +296,8 @@ class SnapshotStore {
      * before index `mark` are unchanged since the last publication.
      * Returns the entries written.
      */
-    template <typename Row>
     static EdgeId
-    refresh_row(std::vector<Neighbor>& snap, const Row& live,
+    refresh_row(std::vector<Neighbor>& snap, std::span<const Neighbor> live,
                 std::uint32_t mark)
     {
         const std::size_t size = live.size();

@@ -10,9 +10,9 @@ namespace igs::sim {
 
 namespace {
 
-/** Modeled-overlap telemetry.  Lazy for the same reason as the core
- *  pipeline counters: registering only on pipelined runs keeps the
- *  registry snapshot — and therefore every pre-pipeline golden — stable. */
+/** Modeled-overlap telemetry.  Lazy on purpose: registering only on
+ *  pipelined runs keeps the registry snapshot — and therefore every
+ *  pre-pipeline golden — stable. */
 struct OverlapTelemetry {
     telemetry::Counter& hidden_cycles;
     telemetry::Counter& overlapped_batches;

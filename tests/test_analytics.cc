@@ -19,7 +19,6 @@
 #include "common/random.h"
 #include "gen/edge_stream.h"
 #include "graph/adjacency_list.h"
-#include "graph/dirty_set_view.h"
 #include "stream/batch.h"
 #include "stream/pending.h"
 #include "stream/update_context.h"
@@ -102,7 +101,7 @@ TEST(IncrementalPageRank, ConvergesTowardStaticResult)
         stream::apply_batch_baseline(g, batch, ctx);
         acc.note_batch(batch);
         const auto work = acc.hand_off(k);
-        inc.delta_propagate(graph::DirtySetView(g, work.affected));
+        inc.delta_propagate(g, work.affected);
     }
     const auto exact = static_pagerank(g, {0.85, 1e-10, 500});
     // Seeding the dirty set's out-neighbours too keeps the memoized ranks
@@ -124,8 +123,7 @@ TEST(IncrementalPageRank, CountsWork)
     ComputeMeter meter;
     meter.round();
     const std::vector<VertexId> dirty{0, 1};
-    const auto stats =
-        inc.delta_propagate(graph::DirtySetView(g, dirty), &meter);
+    const auto stats = inc.delta_propagate(g, dirty, &meter);
     EXPECT_EQ(meter.stats().rounds, 1u);
     EXPECT_GT(stats.activations, 0u);
     EXPECT_EQ(stats.seeds, 2u);
@@ -189,8 +187,7 @@ TEST_P(IncSsspTest, MatchesStaticAfterEveryBatch)
         stream::apply_batch_baseline(g, batch, ctx);
         acc.note_batch(batch);
         const auto work = acc.hand_off(k);
-        inc.delta_update(graph::DirtySetView(g, work.affected),
-                         work.inserted, work.deleted);
+        inc.delta_update(g, work.inserted, work.deleted);
         ASSERT_EQ(inc.distances(), static_sssp(g, 0)) << "batch " << k;
     }
 }

@@ -4,6 +4,7 @@
  * controllers, and the input-aware engines.
  */
 #include <map>
+#include <stdexcept>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -401,6 +402,24 @@ TEST(Engine, GrowsVertexSpaceOnDemand)
     engine.ingest(b);
     EXPECT_GE(engine.graph().num_vertices(), 201u);
     EXPECT_EQ(engine.graph().degree(100, Direction::kOut), 1u);
+}
+
+TEST(Engine, RejectsZeroAbrPeriod)
+{
+    // n is the period of ABR's active batches and of the oblivious
+    // policies' OCA sampling: 0 would divide by zero on the first batch.
+    ThreadPool pool(1);
+    for (auto policy : {UpdatePolicy::kBaseline, UpdatePolicy::kAbrUsc}) {
+        EngineConfig cfg = config_for(policy);
+        cfg.abr.n = 0;
+        EXPECT_THROW(RealTimeEngine(cfg, 16, pool), std::invalid_argument)
+            << to_string(policy);
+        EXPECT_THROW(sim::SimEngine(cfg, sim::MachineParams{},
+                                    sim::SwCostParams{},
+                                    sim::HauCostParams{}, 16),
+                     std::invalid_argument)
+            << to_string(policy);
+    }
 }
 
 TEST(Engine, PolicyNames)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the incremental memoized analytics tier (DESIGN.md §14):
- * DirtySetView semantics, the full-vs-delta input policy, and the
+ * the full-vs-delta input policy, and the
  * randomized equivalence harness — N seeded mixed insert/delete streams
  * driven through the incremental kernels and their from-scratch
  * references on all three storage backends, with SSSP/BFS asserted
@@ -29,7 +29,6 @@
 #include "gen/edge_stream.h"
 #include "graph/adjacency_list.h"
 #include "graph/degree_aware_hash.h"
-#include "graph/dirty_set_view.h"
 #include "graph/hybrid_store.h"
 #include "graph/snapshot_view.h"
 #include "stream/batch.h"
@@ -50,48 +49,8 @@ using testutil::harness_seeds;
 using testutil::seed_trace;
 using testutil::tight_tuning;
 
-// The dirty-set view is itself a read path over any read path — the
-// snapshot included — and DegreeAwareHash now satisfies the concept
-// (its edges() view is what made the incremental tier backend-complete).
+// Every store is a read path the incremental tier can run on.
 static_assert(graph::GraphReadPath<graph::DegreeAwareHash>);
-static_assert(graph::GraphReadPath<graph::DirtySetView<graph::AdjacencyList>>);
-static_assert(
-    graph::GraphReadPath<graph::DirtySetView<graph::DegreeAwareHash>>);
-static_assert(graph::GraphReadPath<graph::DirtySetView<graph::HybridStore>>);
-static_assert(graph::GraphReadPath<graph::DirtySetView<graph::SnapshotView>>);
-
-// ------------------------------------------------------- DirtySetView
-
-TEST(DirtySetView, WrapsReadPathAndAnswersMembership)
-{
-    graph::AdjacencyList g(8);
-    g.apply_insert(1, {3, 2.0f}, Direction::kOut);
-    g.apply_insert(3, {1, 2.0f}, Direction::kIn);
-    const std::vector<VertexId> dirty{1, 3};
-    const graph::DirtySetView<graph::AdjacencyList> view(g, dirty);
-    EXPECT_EQ(view.num_vertices(), 8u);
-    EXPECT_EQ(view.degree(1, Direction::kOut), 1u);
-    EXPECT_EQ(view.edges(1, Direction::kOut).front().id, 3u);
-    EXPECT_EQ(view.dirty().size(), 2u);
-    EXPECT_TRUE(view.is_dirty(1));
-    EXPECT_TRUE(view.is_dirty(3));
-    EXPECT_FALSE(view.is_dirty(0));
-    EXPECT_FALSE(view.is_dirty(7));
-    EXPECT_DOUBLE_EQ(view.dirty_fraction(), 2.0 / 8.0);
-    EXPECT_EQ(&view.base(), &g);
-}
-
-TEST(DirtySetView, EmptyDirtySetAndEmptyGraph)
-{
-    graph::AdjacencyList g(4);
-    const graph::DirtySetView<graph::AdjacencyList> view(g, {});
-    EXPECT_EQ(view.dirty().size(), 0u);
-    EXPECT_DOUBLE_EQ(view.dirty_fraction(), 0.0);
-    graph::AdjacencyList empty(0);
-    EXPECT_DOUBLE_EQ(
-        graph::DirtySetView<graph::AdjacencyList>(empty, {}).dirty_fraction(),
-        0.0);
-}
 
 // ------------------------------------------------------- input policy
 
@@ -526,9 +485,7 @@ delta_round(Kernel& kernel, const graph::AdjacencyList& g,
     stream::PendingAccumulator acc;
     acc.note_batch(stream::EdgeBatch(1, ops));
     const auto work = acc.hand_off(1);
-    return kernel.delta_update(
-        graph::DirtySetView<graph::AdjacencyList>(g, work.affected),
-        work.inserted, work.deleted);
+    return kernel.delta_update(g, work.inserted, work.deleted);
 }
 
 /** 0 -> 1 -> 2 carries 2 in both trees; 0 -> 3 -> 2 is longer by weight
@@ -746,7 +703,7 @@ TEST(IncrementalPageRank, DeltaFallsBackToFullWhenVertexSpaceChanges)
     big.apply_insert(0, {1, 1.0f}, Direction::kOut);
     big.apply_insert(1, {0, 1.0f}, Direction::kIn);
     const std::vector<VertexId> dirty{0, 1};
-    pr.delta_propagate(graph::DirtySetView<graph::AdjacencyList>(big, dirty));
+    pr.delta_propagate(big, dirty);
     analytics::incremental::PageRank fresh(tight_pagerank());
     fresh.full_rerun(big);
     EXPECT_EQ(pr.ranks(), fresh.ranks());

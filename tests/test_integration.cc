@@ -12,7 +12,6 @@
 #include "core/engine.h"
 #include "sim/sim_engine.h"
 #include "gen/datasets.h"
-#include "graph/dirty_set_view.h"
 
 namespace igs {
 namespace {
@@ -52,8 +51,7 @@ run_pipeline(const std::string& dataset, UpdatePolicy policy, bool oca,
     const auto round = [&](const core::PendingWork& work) {
         analytics::ComputeMeter meter;
         meter.round();
-        pr.delta_propagate(graph::DirtySetView(engine.graph(), work.affected),
-                           &meter);
+        pr.delta_propagate(engine.graph(), work.affected, &meter);
         out.compute += meter.stats();
         ++out.compute_rounds_launched;
     };
@@ -180,8 +178,7 @@ TEST(Integration, IncrementalSsspSurvivesFullPipeline)
         batch.set_edges(genr.take(3000));
         engine.ingest(batch);
         const auto work = engine.take_pending_work();
-        sssp.delta_update(graph::DirtySetView(engine.graph(), work.affected),
-                          work.inserted, work.deleted);
+        sssp.delta_update(engine.graph(), work.inserted, work.deleted);
         ASSERT_EQ(sssp.distances(), analytics::static_sssp(engine.graph(), 0))
             << "batch " << k;
     }

@@ -35,7 +35,7 @@
 #include "core/engine.h"
 #include "gen/edge_stream.h"
 #include "graph/adjacency_list.h"
-#include "graph/dirty_set_view.h"
+#include "graph/degree_aware_hash.h"
 #include "graph/graph_store.h"
 #include "graph/hybrid_store.h"
 #include "graph/snapshot_view.h"
@@ -144,16 +144,17 @@ TEST(SnapshotStoreDeathTest, PublishWithoutEpochAdvanceAborts)
     EXPECT_DEATH((void)store.publish(live, dirty), "advance the live epoch");
 }
 
-/** A live store of backend `Live` over `n` vertices; HybridStore gets
- *  the tight tuning so small degrees cross both promotion thresholds. */
+/** A live store of backend `Live` over `n` vertices; the adaptive
+ *  stores get the tight tuning so small degrees cross their thresholds
+ *  and the hashed rows' indexes grow. */
 template <typename Live>
 Live
 make_live(std::size_t n)
 {
-    if constexpr (std::is_same_v<Live, graph::HybridStore>) {
-        return graph::HybridStore(n, testutil::tight_tuning());
-    } else {
+    if constexpr (std::is_same_v<Live, graph::AdjacencyList>) {
         return Live(n);
+    } else {
+        return Live(n, testutil::tight_tuning());
     }
 }
 
@@ -392,9 +393,18 @@ snapshot_tracks_live(std::uint64_t seed, ThreadPool* pooled = nullptr)
                         ctx);
                     break;
                 default:
-                    stream::apply_batch_usc(
-                        l, batch, stream::reorder_batch(batch.edges(), pool),
-                        ctx);
+                    // DegreeAwareHash has no USC surface: its USC draw
+                    // runs the RO kernel.
+                    if constexpr (std::is_same_v<Live,
+                                                 graph::DegreeAwareHash>) {
+                        stream::apply_batch_reordered(
+                            l, batch,
+                            stream::reorder_batch(batch.edges(), pool), ctx);
+                    } else {
+                        stream::apply_batch_usc(
+                            l, batch,
+                            stream::reorder_batch(batch.edges(), pool), ctx);
+                    }
                     break;
                 }
             }
@@ -427,6 +437,14 @@ snapshot_tracks_live(std::uint64_t seed, ThreadPool* pooled = nullptr)
         EXPECT_GT(live.tier_census().vertices[graph::HybridEdgeSet::kHashed],
                   0u);
     }
+    if constexpr (std::is_same_v<Live, graph::DegreeAwareHash>) {
+        // Some hub in-row migrated to the hashed representation.
+        bool hashed = false;
+        for (VertexId v = 0; v < m.num_hubs; ++v) {
+            hashed = hashed || live.edge_set(v, Direction::kIn).hashed();
+        }
+        EXPECT_TRUE(hashed);
+    }
 }
 
 TEST(SnapshotStore, MatchesLiveAfterEveryPublication)
@@ -440,6 +458,10 @@ TEST(SnapshotStore, MatchesLiveAfterEveryPublication)
         {
             SCOPED_TRACE("HybridStore");
             snapshot_tracks_live<graph::HybridStore>(seed);
+        }
+        {
+            SCOPED_TRACE("DegreeAwareHash");
+            snapshot_tracks_live<graph::DegreeAwareHash>(seed);
         }
     }
 }
@@ -783,9 +805,8 @@ struct PipelineAnalytics {
     round(const graph::SnapshotView& snap, const core::PendingWork& work)
     {
         meter.round_on(work.epoch);
-        const graph::DirtySetView view(snap, work.affected);
-        pagerank.delta_propagate(view, &meter);
-        sssp.delta_update(view, work.inserted, work.deleted, &meter);
+        pagerank.delta_propagate(snap, work.affected, &meter);
+        sssp.delta_update(snap, work.inserted, work.deleted, &meter);
     }
 };
 

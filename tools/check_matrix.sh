@@ -11,8 +11,9 @@
 #         §11) repeated until-fail; shares the tsan build tree
 #   asan-hybrid / tsan-hybrid  focused deep-runs of the hybrid-store
 #         backend tests (tier promotions under the contended lock and
-#         USC paths, DESIGN.md §12) repeated until-fail; share the asan
-#         and tsan build trees respectively
+#         USC paths, DESIGN.md §12) and the DAH store tests (the same
+#         edge index over a dense array) repeated until-fail; share the
+#         asan and tsan build trees respectively
 #   tsan-incremental  focused TSan deep-run of the incremental-analytics
 #         equivalence harness and the depth>=2 dirty-set isolation test
 #         (memoized kernel state vs the published snapshot's dirty set,
@@ -158,10 +159,12 @@ for leg in "${LEGS[@]}"; do
         # heap array and the hash index, so the randomized and
         # cross-backend suites are re-run until-fail to shake out
         # lifetime bugs, with the shared vertex table's contract suite
-        # (its bid and lock arrays grow by reallocation).  Reuses the
-        # asan tree (no extra build after `asan`).
+        # (its bid and lock arrays grow by reallocation) and the DAH
+        # suites (its hashed rows reallocate the same dense array and
+        # edge index).  Reuses the asan tree (no extra build after
+        # `asan`).
         IGS_CHECK_BDIR="$ROOT/build-check-asan"
-        CTEST_EXTRA=(-R 'Hybrid|CrossBackend|LiveStoreContract' --repeat until-fail:3)
+        CTEST_EXTRA=(-R 'Hybrid|CrossBackend|LiveStoreContract|DegreeAwareHash|Dah' --repeat until-fail:3)
         run_leg asan-hybrid -DIGS_SANITIZE=address,undefined
         unset IGS_CHECK_BDIR CTEST_EXTRA
         ;;
@@ -170,10 +173,11 @@ for leg in "${LEGS[@]}"; do
         # the contended baseline/USC kernels over HybridStore (with the
         # promotion counts its pool workers keep for the tier census,
         # CensusCountsMatchScan), the backend-selectable engine
-        # (pipeline depth 2 included) and the shared vertex table's
-        # contract suite.  Reuses the tsan tree.
+        # (pipeline depth 2 included), the shared vertex table's
+        # contract suite and the DAH suites over the same edge index.
+        # Reuses the tsan tree.
         IGS_CHECK_BDIR="$ROOT/build-check-tsan"
-        CTEST_EXTRA=(-R 'Hybrid|CrossBackend|LiveStoreContract' --repeat until-fail:3)
+        CTEST_EXTRA=(-R 'Hybrid|CrossBackend|LiveStoreContract|DegreeAwareHash|Dah' --repeat until-fail:3)
         run_leg tsan-hybrid -DIGS_SANITIZE=thread
         unset IGS_CHECK_BDIR CTEST_EXTRA
         ;;

@@ -3,7 +3,7 @@
 DESIGN.md §11 splits every thread into one of two roles: *update* (owns
 the live graph, runs the ingest/publish path) and *compute* (runs the
 registered analytics callable overlapped with the next epoch's updates,
-and may only read `SnapshotView`/`DirtySetView` state).  The local
+and may only read `SnapshotView` state).  The local
 `compute-reads-live` semantic rule checks the registered lambda's own
 body; this pass turns it into a whole-program proof:
 
@@ -114,8 +114,8 @@ def run(model, config, findings):
                       "compute-role-reads-live", label,
                       f"compute-role code (entered via {origin}) reads "
                       f"live backend state '{_recv(c)}{c.name}()' "
-                      f"(receiver types to {rcls}); only SnapshotView/"
-                      f"DirtySetView reads are race-free here")
+                      f"(receiver types to {rcls}); only SnapshotView "
+                      f"reads are race-free here")
             if c.name in stop:
                 continue
             for tf, tb in _resolve(model, ctx, binding, c):
